@@ -79,7 +79,9 @@ std::optional<CompiledProgram> CompiledProgram::build(
   }
 
   std::ostringstream cmd;
-  cmd << "c++ -std=c++20 -O2 -shared -fPIC"
+  // -ffp-contract=off: no FMA fusion, so generated code rounds every
+  // multiply and add like the interpreter (see src/CMakeLists.txt).
+  cmd << "c++ -std=c++20 -O2 -ffp-contract=off -shared -fPIC"
       << " -I" << OTTER_SRC_DIR << " " << src_path
       << " " << OTTER_BIN_DIR << "/src/rtlib/libotter_rtlib.a"
       << " " << OTTER_BIN_DIR << "/src/minimpi/libotter_minimpi.a"

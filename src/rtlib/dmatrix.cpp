@@ -16,6 +16,133 @@ namespace {
 std::string shape_str(const DMat& m) {
   return std::to_string(m.rows()) + "x" + std::to_string(m.cols());
 }
+
+// -- local kernels --------------------------------------------------------------
+// Every tier (tree, VM, generated C) calls these, and each result must equal
+// the interpreter's bit for bit (ops.cpp's i-j-k matmul): an element starts
+// at +0.0 and adds a(i,k) * b(k,j) in ascending k, as a separate multiply
+// and add (the build pins -ffp-contract=off). Tiling changes which elements
+// are computed together, never the operations within one element, and no
+// term is skipped: 0 * Inf and 0 * NaN must reach the sum.
+
+/// Columns of B per panel: a K x 128 strip of row-major B (384 KiB at the
+/// paper's K = 384) stays in L2 while every 4-row block of A sweeps it.
+constexpr size_t kPanelCols = 128;
+
+/// Edge of the square blocks transposes copy through: 32 x 32 doubles is
+/// 8 KiB per side, so a block's source rows and target columns share L1.
+constexpr size_t kTransposeTile = 32;
+
+/// sum_k a[k] * b[k * ldb] in the interpreter's order: the scalar edge loop.
+double dot_strided(const double* a, const double* b, size_t ldb, size_t kdim) {
+  double acc = 0.0;
+  for (size_t k = 0; k < kdim; ++k) acc += a[k] * b[k * ldb];
+  return acc;
+}
+
+/// C(0..3, 0..3) = A(0..3, :) * B(:, 0..3) as a 4x4 register tile. Sixteen
+/// named accumulators, not an array: GCC 12 at -O2 keeps these in registers
+/// as packed SSE2 pairs, while a double[4][4] stayed on the stack with a
+/// load and a store around every packed add.
+void tile4x4(const double* a, size_t lda, const double* b, size_t ldb,
+             size_t kdim, double* c, size_t ldc) {
+  const double* a0 = a;
+  const double* a1 = a0 + lda;
+  const double* a2 = a1 + lda;
+  const double* a3 = a2 + lda;
+  double c00 = 0.0, c01 = 0.0, c02 = 0.0, c03 = 0.0;
+  double c10 = 0.0, c11 = 0.0, c12 = 0.0, c13 = 0.0;
+  double c20 = 0.0, c21 = 0.0, c22 = 0.0, c23 = 0.0;
+  double c30 = 0.0, c31 = 0.0, c32 = 0.0, c33 = 0.0;
+  for (size_t k = 0; k < kdim; ++k) {
+    const double* bk = b + k * ldb;
+    const double b0 = bk[0], b1 = bk[1], b2 = bk[2], b3 = bk[3];
+    const double x0 = a0[k], x1 = a1[k], x2 = a2[k], x3 = a3[k];
+    c00 += x0 * b0; c01 += x0 * b1; c02 += x0 * b2; c03 += x0 * b3;
+    c10 += x1 * b0; c11 += x1 * b1; c12 += x1 * b2; c13 += x1 * b3;
+    c20 += x2 * b0; c21 += x2 * b1; c22 += x2 * b2; c23 += x2 * b3;
+    c30 += x3 * b0; c31 += x3 * b1; c32 += x3 * b2; c33 += x3 * b3;
+  }
+  double* r0 = c;
+  double* r1 = r0 + ldc;
+  double* r2 = r1 + ldc;
+  double* r3 = r2 + ldc;
+  r0[0] = c00; r0[1] = c01; r0[2] = c02; r0[3] = c03;
+  r1[0] = c10; r1[1] = c11; r1[2] = c12; r1[3] = c13;
+  r2[0] = c20; r2[1] = c21; r2[2] = c22; r2[3] = c23;
+  r3[0] = c30; r3[1] = c31; r3[2] = c32; r3[3] = c33;
+}
+
+/// C (m x n) = A (m x kdim) * B (kdim x n), all row-major and dense: 4x4
+/// tiles over L2-resident column panels of B, scalar loops on the edges.
+void matmul_local(const double* a, const double* b, double* c, size_t m,
+                  size_t kdim, size_t n) {
+  for (size_t j0 = 0; j0 < n; j0 += kPanelCols) {
+    size_t j1 = std::min(n, j0 + kPanelCols);
+    size_t i = 0;
+    for (; i + 4 <= m; i += 4) {
+      const double* arows = a + i * kdim;
+      double* crows = c + i * n;
+      size_t j = j0;
+      for (; j + 4 <= j1; j += 4) {
+        tile4x4(arows, kdim, b + j, n, kdim, crows + j, n);
+      }
+      for (; j < j1; ++j) {
+        for (size_t r = 0; r < 4; ++r) {
+          crows[r * n + j] = dot_strided(arows + r * kdim, b + j, n, kdim);
+        }
+      }
+    }
+    for (; i < m; ++i) {
+      for (size_t j = j0; j < j1; ++j) {
+        c[i * n + j] = dot_strided(a + i * kdim, b + j, n, kdim);
+      }
+    }
+  }
+}
+
+/// y (m) = A (m x kdim) * x: four rows at a time, so four independent
+/// ascending-k chains share each x[k] instead of one latency-bound chain.
+void matvec_local(const double* a, const double* x, double* y, size_t m,
+                  size_t kdim) {
+  size_t i = 0;
+  for (; i + 4 <= m; i += 4) {
+    const double* a0 = a + i * kdim;
+    const double* a1 = a0 + kdim;
+    const double* a2 = a1 + kdim;
+    const double* a3 = a2 + kdim;
+    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+    for (size_t k = 0; k < kdim; ++k) {
+      const double xk = x[k];
+      s0 += a0[k] * xk;
+      s1 += a1[k] * xk;
+      s2 += a2[k] * xk;
+      s3 += a3[k] * xk;
+    }
+    y[i] = s0;
+    y[i + 1] = s1;
+    y[i + 2] = s2;
+    y[i + 3] = s3;
+  }
+  for (; i < m; ++i) y[i] = dot_strided(a + i * kdim, x, 1, kdim);
+}
+
+/// dst(j, i) = src(i, j) for a rows x cols source, both row-major with the
+/// given leading dimensions, copied block by block. Within a block the
+/// writes run along dst's rows: contiguous stores measured faster than
+/// contiguous loads.
+void transpose_local(const double* src, size_t lds, double* dst, size_t ldd,
+                     size_t rows, size_t cols) {
+  for (size_t i0 = 0; i0 < rows; i0 += kTransposeTile) {
+    size_t i1 = std::min(rows, i0 + kTransposeTile);
+    for (size_t j0 = 0; j0 < cols; j0 += kTransposeTile) {
+      size_t j1 = std::min(cols, j0 + kTransposeTile);
+      for (size_t j = j0; j < j1; ++j) {
+        for (size_t i = i0; i < i1; ++i) dst[j * ldd + i] = src[i * lds + j];
+      }
+    }
+  }
+}
 }  // namespace
 
 // -- dimension validation -----------------------------------------------------
@@ -340,18 +467,8 @@ DMat matmul(mpi::Comm& comm, const DMat& a, const DMat& b) {
   size_t kdim = a.cols();
 
   if (!a.is_vector() && !c.is_vector()) {
-    size_t my_rows = a.layout().count(comm.rank());
-    auto av = a.local();
-    auto cv = c.local();
-    for (size_t i = 0; i < my_rows; ++i) {
-      for (size_t k = 0; k < kdim; ++k) {
-        double aik = av[i * kdim + k];
-        if (aik == 0.0) continue;
-        const double* brow = &bfull[k * n];
-        double* crow = &cv[i * n];
-        for (size_t j = 0; j < n; ++j) crow[j] += aik * brow[j];
-      }
-    }
+    matmul_local(a.local().data(), bfull.data(), c.local().data(),
+                 a.layout().count(comm.rank()), kdim, n);
     return c;
   }
 
@@ -377,24 +494,17 @@ DMat matvec(mpi::Comm& comm, const DMat& a, const DMat& x) {
   }
   std::vector<double> xfull = to_full(comm, x);
   DMat y(comm, a.rows(), 1, a.layout().dist());
-  if (a.is_vector()) {
+  if (a.rows() == 1) {
     // Degenerate: A is 1 x k; y is 1 x 1 distributed — compute replicated.
-    double acc = 0.0;
     std::vector<double> afull = to_full(comm, a);
-    for (size_t k = 0; k < a.cols(); ++k) acc += afull[k] * xfull[k];
-    if (y.local_elements() > 0) y.local()[0] = acc;
+    if (y.local_elements() > 0) {
+      y.local()[0] = dot_strided(afull.data(), xfull.data(), 1, a.cols());
+    }
     return y;
   }
-  size_t kdim = a.cols();
-  size_t my_rows = a.layout().count(comm.rank());
-  auto av = a.local();
-  auto yv = y.local();
-  for (size_t i = 0; i < my_rows; ++i) {
-    double acc = 0.0;
-    const double* arow = &av[i * kdim];
-    for (size_t k = 0; k < kdim; ++k) acc += arow[k] * xfull[k];
-    yv[i] = acc;
-  }
+  // An m x 1 A is laid out by elements, which here coincide with its rows.
+  matvec_local(a.local().data(), xfull.data(), y.local().data(),
+               a.layout().count(comm.rank()), a.cols());
   return y;
 }
 
@@ -576,13 +686,8 @@ DMat transpose(mpi::Comm& comm, const DMat& m) {
   int p = comm.size();
   if (p == 1) {
     // Single rank: plain local transpose.
-    auto lv = m.local();
-    auto tv = t.local();
-    size_t r = m.rows();
-    size_t c = m.cols();
-    for (size_t i = 0; i < r; ++i) {
-      for (size_t j = 0; j < c; ++j) tv[j * r + i] = lv[i * c + j];
-    }
+    transpose_local(m.local().data(), m.cols(), t.local().data(), m.rows(),
+                    m.rows(), m.cols());
     return t;
   }
 
@@ -600,31 +705,27 @@ DMat transpose(mpi::Comm& comm, const DMat& m) {
     for (int d = 0; d < p; ++d) {
       size_t dlo = t.layout().block_lo(d);
       size_t dhi = t.layout().block_hi(d);
+      size_t w = dhi - dlo;
       auto& blk = send[static_cast<size_t>(d)];
-      blk.reserve((shi - slo) * (dhi - dlo));
+      blk.resize((shi - slo) * w);
       for (size_t r = slo; r < shi; ++r) {
-        const double* row = &lv[(r - slo) * cols];
-        for (size_t c = dlo; c < dhi; ++c) blk.push_back(row[c]);
+        std::copy_n(lv.data() + (r - slo) * cols + dlo, w,
+                    blk.data() + (r - slo) * w);
       }
     }
     std::vector<std::vector<double>> recv;
     comm.alltoallv(send, recv);
-    auto tv = t.local();
-    size_t trows = t.rows();   // == m.cols()
-    size_t tcols = t.cols();   // == m.rows()
+    size_t tcols = t.cols();  // == m.rows()
     size_t mylo = t.layout().block_lo(me);
     size_t myhi = t.layout().block_hi(me);
-    (void)trows;
+    if (myhi == mylo) return t;  // this rank owns no rows of t
+    // Block from src: its rows [sl, sh) x t's rows [mylo, myhi), row-major;
+    // it lands transposed at column sl of the local rows of t.
     for (int src = 0; src < p; ++src) {
       size_t sl = m.layout().block_lo(src);
       size_t sh = m.layout().block_hi(src);
-      const auto& blk = recv[static_cast<size_t>(src)];
-      size_t idx = 0;
-      for (size_t r = sl; r < sh; ++r) {
-        for (size_t c = mylo; c < myhi; ++c) {
-          tv[(c - mylo) * tcols + r] = blk[idx++];
-        }
-      }
+      transpose_local(recv[static_cast<size_t>(src)].data(), myhi - mylo,
+                      t.local().data() + sl, tcols, sh - sl, myhi - mylo);
     }
     return t;
   }

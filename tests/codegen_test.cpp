@@ -66,7 +66,24 @@ TEST(Emit, EntrySymbolConfigurable) {
   EXPECT_NE(cpp.find("void my_entry("), std::string::npos);
 }
 
-class CcE2e : public ::testing::TestWithParam<int> {};
+class CcE2e : public ::testing::TestWithParam<int> {
+ protected:
+  /// Output of `src` built as generated C and run on the parameterised rank
+  /// count.
+  std::string run_generated(const std::string& src) {
+    auto compiled = driver::compile_script(src);
+    EXPECT_TRUE(compiled->ok) << compiled->diags.to_string();
+    std::string error;
+    auto program = CompiledProgram::build(compiled->lir, &error);
+    EXPECT_TRUE(program.has_value()) << error;
+    if (!program) return {};
+    std::ostringstream out;
+    mpi::run_spmd(mpi::ideal(8), GetParam(), [&](mpi::Comm& comm) {
+      program->run(comm, out, {});
+    });
+    return out.str();
+  }
+};
 
 INSTANTIATE_TEST_SUITE_P(Ranks, CcE2e, ::testing::Values(1, 2, 4),
                          [](const ::testing::TestParamInfo<int>& i) {
@@ -131,17 +148,26 @@ m = zeros(3, 5);
 m(2, :) = linspace(1, 2, 5);
 disp(m);)";
 
-  driver::InterpRun expected = driver::run_interpreter(src);
-  auto compiled = driver::compile_script(src);
-  ASSERT_TRUE(compiled->ok) << compiled->diags.to_string();
-  std::string error;
-  auto program = CompiledProgram::build(compiled->lir, &error);
-  ASSERT_TRUE(program.has_value()) << error;
-  std::ostringstream out;
-  mpi::run_spmd(mpi::ideal(8), GetParam(), [&](mpi::Comm& comm) {
-    program->run(comm, out, {});
-  });
-  EXPECT_EQ(out.str(), expected.output);
+  EXPECT_EQ(run_generated(src), driver::run_interpreter(src).output);
+}
+
+TEST_P(CcE2e, GeneratedCodeHandlesInfAndNaN) {
+  if (!CompiledProgram::toolchain_available()) {
+    GTEST_SKIP() << "no host C++ compiler available";
+  }
+  // Inf and NaN constants must be valid C++, and a zero in A skips no term
+  // of the matmul (0 * Inf = NaN).
+  const std::string src = R"(a = zeros(8, 8);
+a(1, 2) = 1;
+a(2, 1) = 1;
+b = ones(8, 8);
+b(1, 1) = Inf;
+c = a * b;
+fprintf('%g\n', c(1, 1));
+disp(c);
+fprintf('%g %g %g\n', -Inf, NaN, c(2, 1) - Inf);)";
+
+  EXPECT_EQ(run_generated(src), driver::run_interpreter(src).output);
 }
 
 }  // namespace
