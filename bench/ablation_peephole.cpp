@@ -18,7 +18,8 @@ double run_cg(const std::string& src, bool peephole,
               const mpi::MachineProfile& m, int p) {
   lower::LowerOptions lopts;
   lopts.peephole = peephole;
-  auto compiled = driver::compile_script(src, {}, lopts);
+  auto compiled =
+      driver::compile_script(src, {}, {.lower = lopts, .opt = {.level = 0}});
   if (!compiled->ok) {
     std::cerr << compiled->diags.to_string();
     std::exit(1);

@@ -8,8 +8,8 @@
 // abstract interpreter deletes the guards statically. One extent may be 1,
 // keeping its guards alive — the honest case the analysis must not touch.
 //
-// Reported per opt level: wall seconds of the loop on the direct executor
-// and the ShapeGuard count left in the LIR (the "guards" JSON field). The
+// Reported per opt level: wall seconds of the loop on the VM and the
+// ShapeGuard count left in the LIR (the "guards" JSON field). The
 // acceptance target is >= 50% of guards eliminated at -O2.
 #include <chrono>
 
@@ -52,8 +52,8 @@ long count_guards(const std::vector<lower::LInstrPtr>& body) {
   return n;
 }
 
-/// Compiles at `level` and runs the loop on the direct executor at p=1,
-/// reporting wall time and the ShapeGuard count surviving in the LIR.
+/// Compiles at `level` and runs the loop on the VM at p=1, reporting wall
+/// time and the ShapeGuard count surviving in the LIR.
 Measured run_level(int level) {
   driver::CompileOptions copts;
   copts.opt.level = level;
@@ -69,11 +69,8 @@ Measured run_level(int level) {
   for (const lower::LFunction& fn : compiled->lir.functions) {
     m.guards_in_lir += count_guards(fn.body);
   }
-  driver::ExecOptions eopts;
-  eopts.kernels = level > 0;
   auto start = std::chrono::steady_clock::now();
-  driver::ParallelRun r =
-      driver::run_parallel(compiled->lir, mpi::ideal(1), 1, eopts);
+  driver::ParallelRun r = driver::run_parallel(compiled->lir, mpi::ideal(1), 1);
   auto stop = std::chrono::steady_clock::now();
   m.wall_seconds = std::chrono::duration<double>(stop - start).count();
   m.comm_ops = r.times.total_ops();

@@ -48,7 +48,7 @@ BENCHMARK(BM_Parse);
 void BM_FullCompile(benchmark::State& state) {
   std::string src = load("cg.m");
   for (auto _ : state) {
-    auto c = driver::compile_script(src);
+    auto c = driver::compile_script(src, {}, {.opt = {.level = 0}});
     benchmark::DoNotOptimize(c->ok);
   }
 }
@@ -57,7 +57,7 @@ BENCHMARK(BM_FullCompile);
 void BM_FullCompileOcean(benchmark::State& state) {
   std::string src = load("ocean.m");
   for (auto _ : state) {
-    auto c = driver::compile_script(src);
+    auto c = driver::compile_script(src, {}, {.opt = {.level = 0}});
     benchmark::DoNotOptimize(c->ok);
   }
 }

@@ -1,11 +1,10 @@
-// Micro-benchmarks for the LIR optimizer and the executor's compiled
-// element-wise kernels (PR: "LIR optimizer + compiled elemwise kernels").
+// Micro-benchmarks for the LIR optimizer and the compiled element-wise
+// kernels.
 //
 // Two exhibits, both recorded in the JSON report:
 //   * micro_elemwise — wall-clock seconds of an element-wise-heavy script on
-//     the direct executor at p=1: the per-element tree walker at -O0 vs the
-//     fused, kernel-compiled fast path at -O2. The acceptance target is a
-//     >= 2x speedup.
+//     the VM at p=1: the unfused -O0 LIR vs the fused -O2 LIR. Fusion is
+//     meant to make -O2 the faster of the two.
 //   * micro_licm — total communication ops of a loop whose body re-reads
 //     loop-invariant m(i,j) / sum(v) values every iteration: -O0 keeps the
 //     per-iteration broadcasts and reductions, -O2 hoists them out.
@@ -50,10 +49,9 @@ struct Measured {
   uint64_t comm_ops = 0;
 };
 
-/// Compiles at `level` and runs on the direct executor (`kernels` selects
-/// the compiled-kernel fast path), measuring wall-clock time and comm ops.
-Measured run_level(const std::string& source, int level, bool kernels,
-                   int np) {
+/// Compiles at `level` and runs on the VM, measuring wall-clock time and
+/// comm ops.
+Measured run_level(const std::string& source, int level, int np) {
   driver::CompileOptions copts;
   copts.opt.level = level;
   auto compiled = driver::compile_script(source, {}, copts);
@@ -61,11 +59,9 @@ Measured run_level(const std::string& source, int level, bool kernels,
     std::cerr << "micro_opt: compile failed:\n" << compiled->diags.to_string();
     std::exit(1);
   }
-  driver::ExecOptions eopts;
-  eopts.kernels = kernels;
   auto start = std::chrono::steady_clock::now();
   driver::ParallelRun r =
-      driver::run_parallel(compiled->lir, mpi::ideal(np), np, eopts);
+      driver::run_parallel(compiled->lir, mpi::ideal(np), np);
   auto stop = std::chrono::steady_clock::now();
   Measured m;
   m.wall_seconds = std::chrono::duration<double>(stop - start).count();
@@ -80,31 +76,29 @@ int main(int argc, char** argv) {
 
   std::printf("=== micro_opt: optimizer + kernel fast path ===\n\n");
 
-  // Exhibit 1: element-wise executor throughput at p=1. Best-of-3 to keep
-  // scheduler noise out of the committed numbers.
+  // Exhibit 1: element-wise throughput at p=1. Best-of-3 to keep scheduler
+  // noise out of the committed numbers.
   double baseline = 1e300;
   double optimized = 1e300;
   for (int rep = 0; rep < 3; ++rep) {
-    baseline = std::min(
-        baseline,
-        run_level(kElemwiseScript, 0, /*kernels=*/false, 1).wall_seconds);
-    optimized = std::min(
-        optimized,
-        run_level(kElemwiseScript, 2, /*kernels=*/true, 1).wall_seconds);
+    baseline =
+        std::min(baseline, run_level(kElemwiseScript, 0, 1).wall_seconds);
+    optimized =
+        std::min(optimized, run_level(kElemwiseScript, 2, 1).wall_seconds);
   }
   bench_records().push_back({"micro_elemwise", "ideal", 1, 50000, baseline, 0,
-                             "executor-O0-treewalk"});
+                             "vm-O0"});
   bench_records().push_back({"micro_elemwise", "ideal", 1, 50000, optimized,
-                             0, "executor-O2-kernels"});
+                             0, "vm-O2"});
   std::printf("element-wise script, p=1 (wall seconds, best of 3):\n");
-  std::printf("  -O0 tree walk      %10.4f s\n", baseline);
-  std::printf("  -O2 fused kernels  %10.4f s\n", optimized);
+  std::printf("  -O0 unfused        %10.4f s\n", baseline);
+  std::printf("  -O2 fused          %10.4f s\n", optimized);
   std::printf("  speedup            %10.2fx\n\n", baseline / optimized);
 
   // Exhibit 2: communication ops of a LICM-friendly loop.
   for (int np : {2, 4}) {
-    Measured before = run_level(kLicmScript, 0, /*kernels=*/true, np);
-    Measured after = run_level(kLicmScript, 2, /*kernels=*/true, np);
+    Measured before = run_level(kLicmScript, 0, np);
+    Measured after = run_level(kLicmScript, 2, np);
     bench_records().push_back({"micro_licm", "ideal", np, 64,
                                before.wall_seconds, before.comm_ops,
                                "executor-O0"});

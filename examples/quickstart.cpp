@@ -5,7 +5,8 @@
 //
 // The public API used here:
 //   driver::compile_script  — the whole compiler pipeline (parse, resolve,
-//                             SSA + type inference, lowering, peephole)
+//                             SSA + type inference, lowering, peephole,
+//                             and the -O2 optimizer)
 //   driver::run_parallel    — SPMD execution on a virtual-time machine model
 //   mpi::meiko_cs2 et al.   — the paper's three machine profiles
 #include <iostream>
@@ -22,7 +23,7 @@ approx = 4 * trapz(x, y);
 fprintf('pi is approximately %.8f\n', approx);
 )";
 
-  // 1. Compile (all six passes of the paper's pipeline).
+  // 1. Compile (all six passes of the paper's pipeline, then -O2).
   auto compiled = otter::driver::compile_script(script);
   if (!compiled->ok) {
     compiled->diags.print(std::cerr);

@@ -1,12 +1,11 @@
-// Direct SPMD executor: interprets LIR against the distributed run-time
-// library under minimpi. Semantically identical to the generated C code
-// (both call the same run-time functions); used by tests, examples, and the
-// benchmark harness without needing an external C compiler.
+// Direct SPMD execution: runs LIR against the distributed run-time library
+// under minimpi. Semantically identical to the generated C code (both call
+// the same run-time functions); used by tests, examples, and the benchmark
+// harness without needing an external C compiler.
 //
-// Two tiers share this entry point: the original tree walker (the -O0
-// differential-fuzzing reference) and the register-based bytecode VM
-// (src/vm/, the default at -O1/-O2). Both produce identical observable
-// behaviour; ExecOptions::backend selects.
+// One engine runs every opt level: the register-based bytecode VM (src/vm/).
+// execute_lir compiles the program to bytecode (unless a precompiled module
+// is supplied) and dispatches it.
 #pragma once
 
 #include <iosfwd>
@@ -24,19 +23,9 @@ struct VmStats;
 
 namespace otter::driver {
 
-/// Execution tier. `Auto` resolves to the bytecode VM — the modern default;
-/// callers that carry an opt level (otterc, otterd) resolve it themselves
-/// (-O0 -> Tree, -O1/-O2 -> Vm) before execution so the tree walker stays
-/// the -O0 reference tier.
-enum class ExecBackend : uint8_t { Auto, Tree, Vm };
-
 struct ExecOptions {
   uint64_t rand_seed = 1;
   rt::Dist dist = rt::Dist::RowBlock;  // data-distribution strategy
-  /// Evaluate element-wise/scalar trees through compiled postfix kernels
-  /// with output-buffer reuse (see driver/kernel.hpp). Off = the original
-  /// per-element tree walk, kept for benchmark baselines and differentials.
-  bool kernels = true;
   /// Failure handling + fault injection for the surrounding SPMD run
   /// (consumed by run_parallel / the cc runner, not per-rank execution).
   mpi::SpmdOptions spmd;
@@ -48,15 +37,12 @@ struct ExecOptions {
   /// restores its frame from it on resume. Leave null when calling
   /// execute_lir directly.
   CheckpointCoordinator* checkpoint = nullptr;
-  /// Execution tier (see ExecBackend).
-  ExecBackend backend = ExecBackend::Auto;
-  /// Precompiled bytecode for the VM tier (borrowed; must have been
-  /// compiled from the same LProgram). run_parallel compiles the module
-  /// once before spawning ranks; when null and the VM is selected,
-  /// execute_lir compiles one privately.
+  /// Precompiled bytecode (borrowed; must have been compiled from the same
+  /// LProgram). run_parallel compiles the module once before spawning
+  /// ranks; when null, execute_lir compiles one privately.
   const vm::BcModule* bytecode = nullptr;
-  /// Optional inline-cache counter sink for the VM tier (shared across
-  /// ranks; flushed once per rank at run end).
+  /// Optional inline-cache counter sink (shared across ranks; flushed once
+  /// per rank at run end).
   vm::VmStats* vm_stats = nullptr;
 };
 
@@ -68,11 +54,10 @@ struct ExecOptions {
 void execute_lir(const lower::LProgram& prog, mpi::Comm& comm,
                  std::ostream& out, const ExecOptions& opts = {});
 
-/// The MATLAB-style fprintf rendering loop shared by the execution tiers
-/// (and mirroring the interpreter's): the format string is consumed
-/// repeatedly until the flattened scalar argument stream is exhausted,
-/// backslash escapes and %% are expanded, and %d/%i convert through
-/// long long.
+/// The MATLAB-style fprintf rendering loop of the VM (mirroring the
+/// interpreter's): the format string is consumed repeatedly until the
+/// flattened scalar argument stream is exhausted, backslash escapes and %%
+/// are expanded, and %d/%i convert through long long.
 void fprintf_stream(std::ostream& out, const std::string& fmt,
                     const std::vector<double>& data);
 

@@ -41,7 +41,7 @@ struct Builder {
   void build(const LExpr& e) {
     if (!ok) return;
     if (k.ops.size() > 4096 || k.mats.size() > 255 || k.scalars.size() > 255) {
-      ok = false;  // degenerate tree: let the tree walker handle it
+      ok = false;  // degenerate tree: the caller evaluates it per element
       return;
     }
     switch (e.kind) {
@@ -93,8 +93,8 @@ struct Builder {
         return;
       }
       case LExpr::Kind::RandScalar:
-        // A slot would draw once per statement where the tree walker draws
-        // per evaluation; refuse so the caller preserves rand semantics.
+        // A slot would draw once per statement where the interpreter draws
+        // once per element; refuse so the caller preserves rand semantics.
         ok = false;
         return;
     }

@@ -1,14 +1,13 @@
-// Compiled element-wise kernels for the direct executor.
+// Compiled element-wise kernels, run by the VM's EwKern superinstruction.
 //
-// The executor used to re-interpret the LExpr tree for every local element
-// (one recursive walk plus a hash lookup per matrix/scalar leaf per
-// element). A Kernel compiles the tree once into flat postfix code with
-// pre-resolved operand slots: matrix leaves become span indices bound once
-// per statement execution, scalar leaves become slots evaluated once per
-// statement (lowering guarantees an element-wise tree's scalar subtrees are
-// Imm/ScalarVar only — anything more complex, including rand, was hoisted
-// into its own ScalarAssign), and the per-element work is a tight loop over
-// a small value stack.
+// Re-interpreting the LExpr tree for every local element costs one
+// recursive walk per element. A Kernel compiles the tree once into flat
+// postfix code with pre-resolved operand slots: matrix leaves become span
+// indices bound once per statement execution, scalar leaves become slots
+// evaluated once per statement (lowering guarantees an element-wise tree's
+// scalar subtrees are Imm/ScalarVar only — anything more complex, including
+// rand, was hoisted into its own ScalarAssign), and the per-element work is
+// a tight loop over a small value stack.
 #pragma once
 
 #include <cstddef>
@@ -59,12 +58,13 @@ enum class KPat : uint8_t {
 
 /// A compiled LExpr tree. `ok == false` means the tree cannot be kernelized
 /// (it draws rand, whose per-element semantics a once-per-statement slot
-/// would change) and the caller must fall back to tree walking.
+/// would change) and the caller must fall back to per-element evaluation
+/// (the VM's EwTree).
 struct Kernel {
   std::vector<KOp> ops;
   /// Matrix slot -> variable name, in pre-order-first-leaf order, so
-  /// mats.front() is the same matrix the tree-walking executor takes the
-  /// output shape from.
+  /// mats.front() is the matrix the output takes its shape from (the same
+  /// leaf EwTree's shape_mreg names).
   std::vector<std::string> mats;
   /// Scalar slot -> subtree to evaluate once per statement execution.
   std::vector<const lower::LExpr*> scalars;

@@ -14,15 +14,6 @@
 
 namespace otter::driver {
 
-std::unique_ptr<CompileResult> compile_script(
-    const std::string& source, const sema::MFileLoader& loader,
-    const lower::LowerOptions& opts) {
-  CompileOptions copts;
-  copts.lower = opts;
-  copts.opt.level = 0;  // raw lowering output for callers of this overload
-  return compile_script(source, loader, copts);
-}
-
 std::unique_ptr<CompileResult> compile_script(const std::string& source,
                                               const sema::MFileLoader& loader,
                                               const CompileOptions& opts) {
@@ -107,9 +98,9 @@ ParallelRun run_parallel(const lower::LProgram& lir,
   }
   // Compile the bytecode module once, outside the rank threads: the module
   // is immutable and shared, so N ranks must not each pay (or race on)
-  // compilation. Tree-tier runs skip it entirely.
+  // compilation.
   vm::BcModule bytecode;
-  if (eopts.backend != ExecBackend::Tree && eopts.bytecode == nullptr) {
+  if (eopts.bytecode == nullptr) {
     bytecode = vm::compile_bytecode(lir);
     eopts.bytecode = &bytecode;
   }

@@ -1,6 +1,6 @@
 // Whole-compiler pipeline: parse → resolve (pass 2) → SSA + inference
 // (pass 3) → lowering with expression rewriting, owner guards and peephole
-// (passes 4–6) → execution (direct SPMD executor, or C emission).
+// (passes 4–6) → optimizer → execution (bytecode VM, or C emission).
 #pragma once
 
 #include <memory>
@@ -36,9 +36,9 @@ struct CompileResult {
 /// Full compile configuration: pass options plus the crash-safety knobs
 /// (resource budgets, strict-inference mode, and the diagnostic cap).
 struct CompileOptions {
-  lower::LowerOptions lower;
-  lower::OptOptions opt;     ///< optimizer pipeline; level 2 is the default
-  CompileBudget budget;      ///< resource limits shared by every pass
+  lower::LowerOptions lower{};
+  lower::OptOptions opt{};   ///< optimizer pipeline; level 2 is the default
+  CompileBudget budget{};    ///< resource limits shared by every pass
   bool strict_infer = false; ///< unresolvable shapes are errors, not guards
   size_t max_errors = 0;     ///< cap stored error diagnostics (0 = unlimited)
   bool verify_lir = true;    ///< run the structural LIR verifier (post-opt)
@@ -48,19 +48,13 @@ struct CompileOptions {
 };
 
 /// Compiles a MATLAB script through every pass. `loader` supplies user
-/// M-files (see dir_loader). Check `->ok` / `->diags` before using `lir`.
-/// This convenience overload keeps the optimizer off (level 0) so callers
-/// inspecting raw lowering output see it unchanged; use the CompileOptions
-/// overload for the full default pipeline (-O2).
+/// M-files (see dir_loader). The default options are the production
+/// pipeline (-O2, what otterc and otterd run); pass `{.opt = {.level = 0}}`
+/// to inspect raw lowering output. Check `->ok` / `->diags` before using
+/// `lir`.
 std::unique_ptr<CompileResult> compile_script(
     const std::string& source, const sema::MFileLoader& loader = {},
-    const lower::LowerOptions& opts = {});
-
-/// Overload taking the full configuration (budgets, strict inference,
-/// error cap). The LowerOptions overload forwards here with defaults.
-std::unique_ptr<CompileResult> compile_script(const std::string& source,
-                                              const sema::MFileLoader& loader,
-                                              const CompileOptions& opts);
+    const CompileOptions& opts = {});
 
 /// M-file loader that searches `dir` for `<name>.m`.
 sema::MFileLoader dir_loader(const std::string& dir);
@@ -75,7 +69,7 @@ struct ParallelRun {
   std::vector<std::string> warnings;  // E5005 recovery-ladder warnings
 };
 
-/// Runs compiled LIR on `nranks` ranks of `profile` via the direct executor.
+/// Runs compiled LIR on `nranks` ranks of `profile` on the bytecode VM.
 /// `opts.spmd` configures the watchdog deadline and fault injection; on any
 /// rank failure an mpi::SpmdFailure aggregating every rank's outcome is
 /// thrown.

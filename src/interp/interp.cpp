@@ -58,6 +58,18 @@ Interp::Flow Interp::exec_block(const std::vector<StmtPtr>& body, Env& env) {
 Interp::Flow Interp::exec_stmt(const Stmt& s, Env& env) {
   switch (s.kind) {
     case StmtKind::ExprStmt: {
+      // A void builtin statement (disp, fprintf, error) produces no value:
+      // nothing is displayed and `ans` is left alone, as in MATLAB and the
+      // compiled code.
+      if (s.expr->kind == ExprKind::Call &&
+          find_var(s.expr->name, env) == nullptr &&
+          prog_.functions.count(s.expr->name) == 0) {
+        const BuiltinInfo* b = find_builtin(s.expr->name);
+        if (b != nullptr && b->n_outs == 0) {
+          eval_call(*s.expr, env);
+          return Flow::Normal;
+        }
+      }
       Value v = eval(*s.expr, env);
       if (s.display) display("ans", v);
       set_var("ans", std::move(v), env);

@@ -38,7 +38,7 @@ struct OptOptions {
   bool guard_elim = true;  ///< delete proven ShapeGuards (level >= 2)
   /// Guards the abstract interpreter proved can never fire (see
   /// analysis/absint.hpp). Only guards matching an entry here are deleted.
-  std::vector<GuardProof> guard_proofs;
+  std::vector<GuardProof> guard_proofs{};
 };
 
 /// What the optimizer did: counters for tests/benches, plus one record per

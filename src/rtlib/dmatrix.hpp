@@ -146,10 +146,9 @@ enum class EwUn : uint8_t {
 };
 
 // Defined inline: these run once per element per operator in every
-// element-wise loop — the treewalk executor's leaf application, the compiled
-// Kernel's postfix steps, and the bytecode VM's fused superinstructions. An
-// out-of-line call here is a measurable fraction of the VM tier's
-// per-element budget.
+// element-wise loop — the compiled Kernel's postfix steps, the bytecode VM's
+// fused superinstructions and its per-element tree fallback. An out-of-line
+// call here is a measurable fraction of the VM's per-element budget.
 inline double ew_apply_bin(EwBin op, double a, double b) {
   switch (op) {
     case EwBin::Add: return a + b;

@@ -5,10 +5,9 @@
 namespace otter::service {
 
 std::string artifact_key(const std::string& script_hash, int opt_level,
-                         const std::string& machine, bool strict_infer,
-                         const std::string& backend) {
+                         const std::string& machine, bool strict_infer) {
   return script_hash + "|O" + std::to_string(opt_level) + "|" + machine +
-         (strict_infer ? "|strict" : "") + "|" + backend;
+         (strict_infer ? "|strict" : "");
 }
 
 size_t estimate_artifact_bytes(const lower::LProgram& lir,

@@ -1,19 +1,17 @@
 // Content-addressed artifact cache for the compile service.
 //
-// Key: (script hash, opt level, machine profile, strict-inference flag,
-// execution backend) — everything that can change what the compiler
-// produces. The backend is part of the key because a VM-tier artifact
-// carries a precompiled bytecode module a tree-tier artifact does not;
-// serving one for the other would either waste the precompile or execute
-// without it. Because the key is
+// Key: (script hash, opt level, machine profile, strict-inference flag) —
+// everything that can change what the compiler produces. Because the key is
 // content-addressed there is no staleness to invalidate: a changed script is
 // a different key. The only eviction is LRU under a byte budget, so a hot
-// script's compiled LIR stays resident while one-shot scripts age out.
+// script's compiled LIR and bytecode stay resident while one-shot scripts
+// age out.
 //
 // Entries are immutable once inserted (shared_ptr<const Entry>); concurrent
-// requests execute the same cached LProgram simultaneously — the direct
-// executor treats it as read-only (each Executor owns its kernel cache and
-// frames), which the concurrent-pipeline stress test pins down under TSan.
+// requests execute the same cached LProgram and BcModule simultaneously —
+// the VM treats both as read-only (each rank's VM owns its registers,
+// inline caches and scratch), which the concurrent-pipeline stress test
+// pins down under TSan.
 #pragma once
 
 #include <atomic>
@@ -33,24 +31,20 @@ struct BcModule;
 
 namespace otter::service {
 
-/// Cache key for one compilation configuration of one script. `backend` is
-/// the *resolved* execution tier ("vm" or "tree"), never the empty
-/// follow-the-opt-level default: two requests that resolve to the same tier
-/// must share an entry regardless of how they asked for it.
+/// Cache key for one compilation configuration of one script.
 std::string artifact_key(const std::string& script_hash, int opt_level,
-                         const std::string& machine, bool strict_infer,
-                         const std::string& backend);
+                         const std::string& machine, bool strict_infer);
 
 /// One cached compilation: the full compile result (diagnostics engine,
 /// inference tables, post-optimizer LIR) plus the pre-rendered diagnostics
 /// array so responses never re-walk the DiagEngine of a shared artifact.
-/// VM-tier artifacts also carry the bytecode module compiled once at insert
-/// time, shared read-only by every request that hits the entry.
+/// It also carries the bytecode module compiled once at insert time, shared
+/// read-only by every request that hits the entry.
 struct Artifact {
   std::shared_ptr<const driver::CompileResult> compiled;
   // Declared after `compiled` so it is destroyed first: the module borrows
   // the CompileResult's LProgram (kernel slot tables point into the LIR).
-  std::shared_ptr<const vm::BcModule> bytecode;  ///< null for tree tier
+  std::shared_ptr<const vm::BcModule> bytecode;
   json::JValue diags;  ///< rendered diagnostics (warnings for ok compiles)
   size_t bytes = 0;    ///< estimated resident size, charged to the budget
 };

@@ -310,17 +310,6 @@ json::JValue Service::handle_script(
   }
   const std::string machine = req.get_string("machine", "ideal");
   const bool strict_infer = req.get_bool("strict_infer", false);
-  // Resolve the execution tier here, before the cache key is formed: an
-  // absent field follows the opt level (-O0 → tree walker, -O1/-O2 → the
-  // bytecode VM), exactly like local otterc.
-  const std::string backend_req = req.get_string("backend", "");
-  if (!backend_req.empty() && backend_req != "vm" && backend_req != "tree") {
-    return error_response(&req, "bad_request", "E0011",
-                          "malformed service request: \"backend\" must be "
-                          "vm or tree");
-  }
-  const std::string backend =
-      !backend_req.empty() ? backend_req : (opt_level == 0 ? "tree" : "vm");
   const bool want_run = req.get_bool("run", true);
 
   const std::string fault_spec = req.get_string("fault_plan", "");
@@ -436,8 +425,7 @@ json::JValue Service::handle_script(
   }
 
   // ---- compile (or pull the artifact out of the cache) ----------------
-  const std::string key =
-      artifact_key(hash, opt_level, machine, strict_infer, backend);
+  const std::string key = artifact_key(hash, opt_level, machine, strict_infer);
   std::shared_ptr<const Artifact> art = cache_.lookup(key);
   const bool cache_hit = art != nullptr;
   if (!cache_hit) {
@@ -475,18 +463,16 @@ json::JValue Service::handle_script(
     fresh->diags = diags_json(compiled->diags);
     fresh->bytes = estimate_artifact_bytes(compiled->lir, script.size());
     fresh->compiled = std::move(compiled);
-    if (backend == "vm") {
-      // Compile the bytecode once per artifact: every request that hits
-      // this entry shares the immutable module instead of re-lowering it.
-      auto mod = std::make_shared<vm::BcModule>(
-          vm::compile_bytecode(fresh->compiled->lir));
-      size_t code_bytes = 0;
-      for (const vm::BcFunction& f : mod->functions)
-        code_bytes += f.chunk.code.size() * sizeof(vm::BcInstr);
-      fresh->bytes += mod->script.code.size() * sizeof(vm::BcInstr) +
-                      code_bytes;
-      fresh->bytecode = std::move(mod);
-    }
+    // Compile the bytecode once per artifact: every request that hits this
+    // entry shares the immutable module instead of re-lowering it.
+    auto mod = std::make_shared<vm::BcModule>(
+        vm::compile_bytecode(fresh->compiled->lir));
+    size_t code_bytes = 0;
+    for (const vm::BcFunction& f : mod->functions)
+      code_bytes += f.chunk.code.size() * sizeof(vm::BcInstr);
+    fresh->bytes += mod->script.code.size() * sizeof(vm::BcInstr) +
+                    code_bytes;
+    fresh->bytecode = std::move(mod);
     cache_.insert(key, fresh);
     art = std::move(fresh);
   }
@@ -523,8 +509,6 @@ json::JValue Service::handle_script(
   setup.ckpt_dir = ckpt_dir;
   setup.test_kill = test_kill;
   driver::ExecOptions& eo = setup.eo;
-  eo.backend = backend == "vm" ? driver::ExecBackend::Vm
-                               : driver::ExecBackend::Tree;
   // The artifact (held alive for the whole request) owns the module; the
   // sandbox fork inherits the mapping, so the pointer stays valid in the
   // child too.

@@ -166,9 +166,9 @@ class ChunkGen {
 
   // -- scalar expression trees -------------------------------------------------
   // Post-order compilation: operand a, operand b, then the operation — the
-  // exact evaluation order of both the tree walker's recursion and the
-  // postfix kernels, so rand-draw sequencing and floating-point results are
-  // bit-identical across tiers.
+  // interpreter's left-to-right evaluation order and the postfix kernels'
+  // order, so rand draws are taken in source order and floating-point
+  // results are bit-identical to the interpreter's.
 
   /// Compiles `e` and returns the register holding its value. Reads of
   /// scalar variables return the variable's register directly (no copy).
@@ -244,9 +244,11 @@ class ChunkGen {
   }
 
   // -- operands ----------------------------------------------------------------
-  // Failure messages and failure *order* mirror the tree executor's
-  // operand_mat/operand_scalar helpers; a statically detectable failure
-  // compiles to a Trap at the same evaluation position.
+  // An operand of the wrong kind fails with "expected matrix operand" /
+  // "expected scalar operand", an unknown name with "undefined matrix/
+  // scalar 'x'". A statically detectable failure compiles to a Trap at the
+  // position where the operand is evaluated, so every operand before it
+  // (and its rand draws) still runs first.
 
   /// Matrix operand -> mreg; emits a Trap and returns kNoReg on mismatch.
   uint32_t operand_mreg(const LOperand& o) {
@@ -590,8 +592,8 @@ class ChunkGen {
         size_t cols = rows != 0 ? in.literal_rows[0].size() : 0;
         std::vector<uint32_t> elems;
         elems.reserve(rows * cols);
-        // Row-by-row like the tree walker: a ragged row fails after the
-        // preceding rows' elements (and their rand draws) were evaluated.
+        // Row by row: a ragged row fails after the preceding rows'
+        // elements (and their rand draws) were evaluated.
         for (const auto& row : in.literal_rows) {
           if (row.size() != cols) {
             trap("ragged matrix literal");
@@ -673,7 +675,7 @@ class ChunkGen {
       case LOp::ForOp: for_stmt(in); return;
       case LOp::BreakOp:
         if (loops_.empty()) {
-          emit(Op::Ret);  // top-level break stops the chunk (tree: non-Normal)
+          emit(Op::Ret);  // a top-level break stops the chunk
         } else {
           loops_.back().break_patches.push_back(emit(Op::Jmp));
         }
@@ -742,12 +744,11 @@ class ChunkGen {
     size_t ndsts = std::min(in.call_dsts.size(), fn.outs.size());
     for (size_t i = 0; i < ndsts; ++i) {
       const lower::LVarDecl& d = in.call_dsts[i];
-      // A bad destination fails *after* the body ran (the tree walker
-      // copies outs post-execution), so the failure travels as a tagged
-      // trap entry instead of an inline Trap. The caller-side lookup fails
-      // first (with the caller's name); a caller/callee kind mismatch then
-      // fails looking up the out in the callee frame's other-kind map, so
-      // the message carries the *callee's* out name.
+      // A bad destination fails *after* the body ran (outs are copied back
+      // once the callee returns), so the failure travels as a tagged trap
+      // entry instead of an inline Trap. An undefined caller-side name
+      // fails first, with the caller's name; a caller/callee kind mismatch
+      // then fails with the *callee's* out name.
       const char* kindname = d.is_matrix ? "matrix" : "scalar";
       uint32_t reg = d.is_matrix ? mreg_of(d.name) : sreg_of(d.name);
       if (reg == kNoReg) {
@@ -773,7 +774,8 @@ class ChunkGen {
     }
     // Scalar arguments evaluate into registers here, in argument order
     // (preserving the rand-draw sequence); matrix arguments gather at
-    // execution time, keeping the comm-op order of the tree walker.
+    // execution time, in argument order. Scalar trees never communicate,
+    // so evaluating them first leaves the comm-op sequence unchanged.
     std::vector<uint32_t> entries;
     for (size_t i = 1; i < in.args.size(); ++i) {
       if (in.args[i].is_matrix) {

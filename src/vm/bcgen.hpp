@@ -1,15 +1,14 @@
-// Register-based bytecode for the direct executor's default tier.
+// Register-based bytecode: the form in which every LIR program runs.
 //
-// The tree executor re-walks LInstr/LExpr nodes and hash-looks-up every
-// operand name on every execution. compile_bytecode() lowers a whole
-// LProgram once into flat chunks of fixed-width instructions with dense
-// opcodes, pre-resolved register slots (scalar doubles and distributed
-// matrices get per-chunk register files; no name lookups survive into the
-// run), a deduplicated constant pool, resolved jump targets for all
-// structured control flow, and per-site inline-cache slots for the checks
-// that are shape-stable in steady state (ShapeGuard, element-index
-// mapping, element-wise alignment). PR 5's postfix kernels ride along as
-// bytecode superinstructions (EwKern).
+// compile_bytecode() lowers a whole LProgram once into flat chunks of
+// fixed-width instructions with dense opcodes, pre-resolved register slots
+// (scalar doubles and distributed matrices get per-chunk register files; no
+// name lookups survive into the run), a deduplicated constant pool,
+// resolved jump targets for all structured control flow, and per-site
+// inline-cache slots for the checks that are shape-stable in steady state
+// (ShapeGuard, element-index mapping, element-wise alignment). The postfix
+// kernels of driver/kernel.hpp ride along as bytecode superinstructions
+// (EwKern).
 //
 // A BcModule borrows the LProgram it was compiled from (kernel scalar
 // slots point into the LIR, exactly like driver::Kernel); keep the program
@@ -143,7 +142,7 @@ struct BcChunk {
   std::vector<std::string> sreg_names;
   std::vector<std::string> mreg_names;
   /// Named registers sorted by name — the checkpoint serialization order,
-  /// byte-identical to the tree executor's sorted-map capture.
+  /// which makes the blob bytes independent of register numbering.
   std::vector<std::pair<std::string, uint32_t>> named_sregs;
   std::vector<std::pair<std::string, uint32_t>> named_mregs;
   /// Script chunk only: top-level statement index -> pc of its first
@@ -185,8 +184,8 @@ struct BcModule {
 };
 
 /// Compiles the whole program. Never fails: LIR shapes the verifier would
-/// reject compile to Trap instructions that reproduce the tree executor's
-/// runtime error at the same evaluation point.
+/// reject compile to Trap instructions that raise the runtime error at the
+/// point where the offending operand is evaluated.
 BcModule compile_bytecode(const lower::LProgram& prog);
 
 /// Human-readable disassembly (one instruction per line) for goldens and

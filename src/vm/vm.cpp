@@ -107,8 +107,8 @@ class Vm {
   // -- helpers -----------------------------------------------------------------
 
   static size_t as_index(double v, const char* what) {
-    // Same bounds as the tree walker: rejects negatives, non-integers, NaN,
-    // Inf, and anything at or beyond 2^53 before the size_t cast.
+    // Rejects negatives, non-integers, NaN, Inf, and anything at or beyond
+    // 2^53 before the size_t cast (a non-finite cast is undefined).
     if (!(v >= 0) || !(v < 9007199254740992.0) || std::floor(v) != v) {
       fail(std::string("invalid ") + what + " index");
     }
@@ -156,9 +156,9 @@ class Vm {
   }
 
   void check_deadline() {
-    // Back-edges, boundaries, and calls poll the session deadline with the
-    // same 1-in-64 stride the tree walker uses per statement: compute-only
-    // loops stay cancellable (E5004) without a clock read per iteration.
+    // Back-edges, boundaries, and calls poll the session deadline with a
+    // 1-in-64 stride: compute-only loops stay cancellable (E5004) without a
+    // clock read per iteration.
     if (poll_deadline_ && ++deadline_stride_ % 64 == 0 &&
         opts_.spmd.expired()) {
       throw rt::RtError(opts_.spmd.expiry_reason(), stmt_loc(), "E5004");
@@ -194,9 +194,10 @@ class Vm {
   }
 
   // -- checkpoint capture/restore ----------------------------------------------
-  // Byte-identical to the tree executor's blobs: named registers only, in
-  // sorted name order (the declared-variable set is exactly the tree
-  // walker's frame contents — LIR declares every name it touches).
+  // Blob layout: rank, rand cursor, comm ops, vtime, then the named scalar
+  // and matrix registers of the top-level frame, each in sorted name order
+  // so the bytes are canonical. Unnamed scratch registers live within one
+  // statement and are dead at a top-level boundary.
 
   std::vector<std::byte> capture_state(const BcChunk& ch, RFrame& f) {
     snap::Writer w;
@@ -367,20 +368,11 @@ class Vm {
     setm(f, in.a, std::move(out));
   }
 
-  /// Linear-index mapping for GetEl, replicating the tree walker's branch
-  /// structure exactly (including its row-major documented deviation).
-  void getel_mapping(const DMat& m, uint8_t& kind, uint64_t& cols) {
-    cols = m.cols();
-    if (m.rows() == 1 || !m.is_vector()) {
-      kind = m.rows() != 1 ? 2 : 0;
-    } else {
-      kind = 1;
-    }
-  }
-
-  /// Linear-index mapping for SetEl (the tree walker derives it with a
-  /// different branch ladder than GetEl; both preserved verbatim).
-  void setel_mapping(const DMat& m, uint8_t& kind, uint64_t& cols) {
+  /// Linear-index mapping for GetEl/SetEl, as in genrt's ML_get_linear: a
+  /// row vector indexes along its columns, a column vector along its rows,
+  /// and a full matrix in row-major order (documented Otter deviation from
+  /// MATLAB's column-major order).
+  static void linear_mapping(const DMat& m, uint8_t& kind, uint64_t& cols) {
     cols = m.cols();
     if (m.rows() == 1) {
       kind = 0;
@@ -435,8 +427,8 @@ class Vm {
 
   void do_fprintf(RFrame& f, const BcInstr& in) {
     // Matrix arguments gather here (collective: all ranks participate, in
-    // argument order, matching the tree walker's comm-op sequence); scalar
-    // arguments were evaluated into registers by the preceding code.
+    // argument order, one gather per matrix argument); scalar arguments
+    // were evaluated into registers by the preceding code.
     std::vector<double> data;
     const uint32_t* ent = mod_.aux.data() + in.b;
     for (uint32_t i = 0; i < in.c; ++i) {
@@ -645,12 +637,12 @@ class Vm {
             kind = ic.kind;
             cols = ic.cols;
           } else {
-            getel_mapping(m, kind, cols);
+            linear_mapping(m, kind, cols);
             ic.kind = kind;
             ic.cols = cols;
           }
         } else {
-          getel_mapping(m, kind, cols);
+          linear_mapping(m, kind, cols);
         }
         map_linear(kind, cols, k, r, c);
       } else {
@@ -675,12 +667,12 @@ class Vm {
             kind = ic.kind;
             cols = ic.cols;
           } else {
-            setel_mapping(m, kind, cols);
+            linear_mapping(m, kind, cols);
             ic.kind = kind;
             ic.cols = cols;
           }
         } else {
-          setel_mapping(m, kind, cols);
+          linear_mapping(m, kind, cols);
         }
         map_linear(kind, cols, k, r, c);
         v = f.s[in->c];
@@ -858,7 +850,8 @@ class Vm {
   uint64_t misses_ = 0;
   uint64_t disabled_ = 0;
   uint64_t instrs_ = 0;
-  // Reusable per-statement scratch, mirroring the tree executor's arena.
+  // Reusable per-statement scratch: kernel operand pointers, scalar slots,
+  // and the postfix value stack are allocated once per rank.
   std::vector<const double*> kmat_ptrs_;
   std::vector<double> kscalar_vals_;
   std::vector<double> kstack_;

@@ -1,13 +1,15 @@
-// Dispatch loop for the register-based bytecode tier (see bcgen.hpp for
+// Dispatch loop of the register-based bytecode VM (see bcgen.hpp for
 // the instruction set). One Vm instance runs per rank; the BcModule is
 // shared and immutable. Uses computed-goto dispatch on GCC/Clang and a
 // switch loop elsewhere (see OTTER_VM_NO_COMPUTED_GOTO in vm.cpp).
 //
-// Observable behaviour is defined as "whatever the tree executor does":
-// identical output bytes, identical rand sequence, identical comm-op and
-// virtual-time accounting, identical error messages/codes/locations, and
-// bitwise-identical checkpoint blobs — the tree tier stays the -O0
-// differential-fuzzing reference, so every divergence is a bug here.
+// Observable behaviour is defined by the interpreter (the semantic oracle):
+// identical output bytes and rand stream. Operands and statements evaluate
+// in source order, so rand draws, comm ops and virtual time follow the LIR
+// statement sequence; runtime errors carry "line N (op): message" context
+// and a stable E-code; checkpoint blobs use the layout documented at
+// capture_state in vm.cpp, and a resumed run's output is bitwise identical
+// to a fault-free run's.
 #pragma once
 
 #include <atomic>
@@ -37,9 +39,8 @@ struct VmStats {
 inline constexpr uint32_t kStableHits = 16;
 
 /// Runs the compiled module as this rank's part of the SPMD computation —
-/// the VM-tier counterpart of driver::execute_lir (same contract: only
-/// rank 0 writes `out`; rt::RtError is re-raised with statement context).
-/// `opts.backend` is ignored here; callers dispatch beforehand.
+/// what driver::execute_lir dispatches to (same contract: only rank 0
+/// writes `out`; rt::RtError is re-raised with statement context).
 void execute_bytecode(const BcModule& mod, mpi::Comm& comm, std::ostream& out,
                       const driver::ExecOptions& opts);
 

@@ -689,7 +689,8 @@ TEST(VerifyLir, VerifierAcceptsEveryCompiledBenchmark) {
     ASSERT_TRUE(in.good());
     std::stringstream ss;
     ss << in.rdbuf();
-    auto c = driver::compile_script(ss.str(), driver::dir_loader(dir.string()));
+    auto c = driver::compile_script(ss.str(), driver::dir_loader(dir.string()),
+                                    {.opt = {.level = 0}});
     ASSERT_TRUE(c->ok) << c->diags.to_string();
     DiagEngine diags(&c->sm);
     EXPECT_EQ(verify_lir(c->lir, diags), 0u) << diags.to_string();

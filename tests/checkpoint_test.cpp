@@ -65,7 +65,7 @@ std::unique_ptr<driver::CompileResult> compile(const std::string& src) {
 /// Compile with the optimizer off, so runtime-error scripts are not
 /// constant-folded into compile-time diagnostics.
 std::unique_ptr<driver::CompileResult> compile_O0(const std::string& src) {
-  auto c = driver::compile_script(src);
+  auto c = driver::compile_script(src, {}, {.opt = {.level = 0}});
   EXPECT_TRUE(c->ok) << c->diags.to_string();
   return c;
 }

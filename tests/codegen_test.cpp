@@ -11,7 +11,7 @@ namespace otter::codegen {
 namespace {
 
 std::string emit_for(const std::string& src) {
-  auto c = driver::compile_script(src);
+  auto c = driver::compile_script(src, {}, {.opt = {.level = 0}});
   EXPECT_TRUE(c->ok) << c->diags.to_string();
   return emit_cpp(c->lir);
 }
@@ -51,14 +51,14 @@ TEST(Emit, FunctionInstanceEmitted) {
       "y = sq(4); disp(y);", [](const std::string& n) -> std::optional<std::string> {
         if (n == "sq") return "function y = sq(x)\ny = x * x;\n";
         return std::nullopt;
-      });
+      }, {.opt = {.level = 0}});
   ASSERT_TRUE(c->ok);
   std::string cpp = emit_cpp(c->lir);
   EXPECT_NE(cpp.find("void otter_fn_sq_si(Ctx& ctx"), std::string::npos) << cpp;
 }
 
 TEST(Emit, EntrySymbolConfigurable) {
-  auto c = driver::compile_script("x = 1;");
+  auto c = driver::compile_script("x = 1;", {}, {.opt = {.level = 0}});
   ASSERT_TRUE(c->ok);
   EmitOptions o;
   o.entry_symbol = "my_entry";
@@ -71,7 +71,7 @@ class CcE2e : public ::testing::TestWithParam<int> {
   /// Output of `src` built as generated C and run on the parameterised rank
   /// count.
   std::string run_generated(const std::string& src) {
-    auto compiled = driver::compile_script(src);
+    auto compiled = driver::compile_script(src, {}, {.opt = {.level = 0}});
     EXPECT_TRUE(compiled->ok) << compiled->diags.to_string();
     std::string error;
     auto program = CompiledProgram::build(compiled->lir, &error);
@@ -110,7 +110,7 @@ end
 fprintf('%g\n', s);)";
 
   driver::InterpRun expected = driver::run_interpreter(src);
-  auto compiled = driver::compile_script(src);
+  auto compiled = driver::compile_script(src, {}, {.opt = {.level = 0}});
   ASSERT_TRUE(compiled->ok) << compiled->diags.to_string();
 
   driver::ParallelRun direct =

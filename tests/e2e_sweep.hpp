@@ -47,7 +47,7 @@ class E2e : public ::testing::TestWithParam<E2eParam> {
     };
     InterpRun expected = run_interpreter(source, loader);
 
-    auto compiled = compile_script(source, loader);
+    auto compiled = compile_script(source, loader, {.opt = {.level = 0}});
     ASSERT_TRUE(compiled->ok) << compiled->diags.to_string();
     ExecOptions opts;
     opts.dist = GetParam().dist;

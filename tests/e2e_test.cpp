@@ -233,7 +233,7 @@ TEST_P(E2e, ErrorBuiltinAborts) {
   std::string src = "x = 1;\nif x > 0\n error('boom');\nend";
   InterpRun expected;
   EXPECT_THROW(run_interpreter(src), ::otter::interp::InterpError);
-  auto compiled = compile_script(src);
+  auto compiled = compile_script(src, {}, {.opt = {.level = 0}});
   ASSERT_TRUE(compiled->ok) << compiled->diags.to_string();
   ExecOptions opts;
   opts.dist = GetParam().dist;

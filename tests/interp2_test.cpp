@@ -13,7 +13,7 @@ std::string run(const std::string& s) { return run_script(s); }
 /// Output must also match the compiled pipeline at 2 and 5 ranks.
 void check_both(const std::string& src) {
   std::string expected = run(src);
-  auto c = driver::compile_script(src);
+  auto c = driver::compile_script(src, {}, {.opt = {.level = 0}});
   ASSERT_TRUE(c->ok) << c->diags.to_string();
   for (int p : {2, 5}) {
     auto r = driver::run_parallel(c->lir, mpi::ideal(8), p);
@@ -235,7 +235,7 @@ TEST(Interp2, DiffFunctionWithLoopAndEarlyReturn) {
     return it->second;
   };
   auto expected = driver::run_interpreter(src, loader);
-  auto c = driver::compile_script(src, loader);
+  auto c = driver::compile_script(src, loader, {.opt = {.level = 0}});
   ASSERT_TRUE(c->ok) << c->diags.to_string();
   for (int p : {1, 3}) {
     auto r = driver::run_parallel(c->lir, mpi::ideal(8), p);

@@ -306,6 +306,14 @@ TEST(Interp, DisplayOnMissingSemicolon) {
   EXPECT_EQ(run("x = 3"), "x =\n3\n");
 }
 
+// Void builtins produce no value, so a missing semicolon displays nothing
+// extra and leaves `ans` alone (the compiled code lowers them the same way).
+TEST(Interp, VoidBuiltinStatementDisplaysNoAns) {
+  EXPECT_EQ(run("disp(42)"), "42\n");
+  EXPECT_EQ(run("fprintf('%d\\n', 7)"), "7\n");
+  EXPECT_EQ(run("5;\ndisp(1)\nans"), "1\nans =\n5\n");
+}
+
 TEST(Interp, FprintfFormats) {
   EXPECT_EQ(run("fprintf('%d items\\n', 3);"), "3 items\n");
   EXPECT_EQ(run("fprintf('%.2f\\n', pi);"), "3.14\n");

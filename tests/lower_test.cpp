@@ -12,13 +12,14 @@ namespace {
 std::string lir_for(const std::string& src, bool peephole = true) {
   LowerOptions opts;
   opts.peephole = peephole;
-  auto c = driver::compile_script(src, {}, opts);
+  auto c =
+      driver::compile_script(src, {}, {.lower = opts, .opt = {.level = 0}});
   EXPECT_TRUE(c->ok) << c->diags.to_string();
   return dump_lir(c->lir);
 }
 
 bool compile_fails(const std::string& src) {
-  auto c = driver::compile_script(src);
+  auto c = driver::compile_script(src, {}, {.opt = {.level = 0}});
   return !c->ok;
 }
 
@@ -138,7 +139,7 @@ TEST(Lower, BreakOutsideLoopRejected) {
   // front (the interpreter still accepts it and simply stops the script).
   EXPECT_TRUE(compile_fails("break;"));
   EXPECT_TRUE(compile_fails("x = 1;\nif x\n  continue;\nend"));
-  auto c = driver::compile_script("break;");
+  auto c = driver::compile_script("break;", {}, {.opt = {.level = 0}});
   EXPECT_FALSE(c->ok);
   EXPECT_NE(c->diags.to_string().find("E4030"), std::string::npos)
       << c->diags.to_string();
@@ -165,7 +166,8 @@ TEST(Lower, PeepholeDotCarriesEarliestSourceLoc) {
   // lint/verifier findings about it point at the right line. The `...`
   // continuation spreads the statement over two lines.
   auto c = driver::compile_script(
-      "x = rand(64, 1);\ny = rand(64, 1);\ns = x' ...\n  * y;\ndisp(s);");
+      "x = rand(64, 1);\ny = rand(64, 1);\ns = x' ...\n  * y;\ndisp(s);", {},
+      {.opt = {.level = 0}});
   ASSERT_TRUE(c->ok) << c->diags.to_string();
   const LInstr* dot = nullptr;
   for (const LInstrPtr& in : c->lir.script) {
@@ -180,7 +182,8 @@ TEST(Lower, PeepholeTransposeDropKeepsEarliestSourceLoc) {
   // P2 deletes the transpose feeding a vector-matrix multiply; the
   // surviving multiply inherits the transpose's (earlier) location.
   auto c = driver::compile_script(
-      "x = rand(8, 1);\nA = rand(8, 8);\nd = x' ...\n  * A;\ndisp(d(1));");
+      "x = rand(8, 1);\nA = rand(8, 8);\nd = x' ...\n  * A;\ndisp(d(1));", {},
+      {.opt = {.level = 0}});
   ASSERT_TRUE(c->ok) << c->diags.to_string();
   const LInstr* vm = nullptr;
   for (const LInstrPtr& in : c->lir.script) {

@@ -364,7 +364,7 @@ namespace otter::driver {
 namespace {
 
 std::unique_ptr<CompileResult> compile_or_die(const std::string& src) {
-  auto c = compile_script(src);
+  auto c = compile_script(src, {}, {.opt = {.level = 0}});
   EXPECT_TRUE(c->ok) << c->diags.to_string();
   return c;
 }

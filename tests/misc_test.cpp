@@ -123,14 +123,16 @@ TEST_F(LoadBuiltin, CompilerInfersShapeFromSampleFile) {
   // Paper pass 3: type and rank come from the sample data file.
   write_mat_file(path_, 3, 4, std::vector<double>(12, 1.0));
   auto c = driver::compile_script("m = load('" + path_ + "');\n"
-                                  "v = sum(m);\ndisp(sum(v));");
+                                  "v = sum(m);\ndisp(sum(v));",
+                                  {}, {.opt = {.level = 0}});
   ASSERT_TRUE(c->ok) << c->diags.to_string();
   // sum(m) of a known 3x4 must have been inferred as a row vector: the
   // second sum reduces it to a scalar and compiles cleanly.
 }
 
 TEST_F(LoadBuiltin, MissingSampleFileIsCompileError) {
-  auto c = driver::compile_script("m = load('/nonexistent/q.dat'); disp(m);");
+  auto c = driver::compile_script("m = load('/nonexistent/q.dat'); disp(m);",
+                                  {}, {.opt = {.level = 0}});
   EXPECT_FALSE(c->ok);
   EXPECT_NE(c->diags.to_string().find("sample data file"), std::string::npos);
 }
@@ -142,7 +144,7 @@ TEST_F(LoadBuiltin, DistributedLoadMatchesInterpreter) {
   std::string src = "m = load('" + path_ + "');\ndisp(m);\n"
                     "fprintf('%g\\n', sum(sum(m)));";
   auto expected = driver::run_interpreter(src);
-  auto c = driver::compile_script(src);
+  auto c = driver::compile_script(src, {}, {.opt = {.level = 0}});
   ASSERT_TRUE(c->ok) << c->diags.to_string();
   for (int p : {1, 3, 8}) {
     auto run = driver::run_parallel(c->lir, mpi::ideal(8), p);
@@ -158,7 +160,7 @@ TEST(Exec, RandSequenceSharedBetweenScalarAndMatrixDraws) {
   std::string src = "a = rand;\nm = rand(2, 3);\nb = rand;\n"
                     "fprintf('%.15f %.15f %.15f\\n', a, b, sum(sum(m)));";
   auto expected = driver::run_interpreter(src);
-  auto c = driver::compile_script(src);
+  auto c = driver::compile_script(src, {}, {.opt = {.level = 0}});
   ASSERT_TRUE(c->ok);
   auto run = driver::run_parallel(c->lir, mpi::ideal(8), 4);
   EXPECT_EQ(run.output, expected.output);
@@ -166,7 +168,7 @@ TEST(Exec, RandSequenceSharedBetweenScalarAndMatrixDraws) {
 
 TEST(Exec, SeedOptionChangesData) {
   std::string src = "fprintf('%.15f\\n', rand);";
-  auto c = driver::compile_script(src);
+  auto c = driver::compile_script(src, {}, {.opt = {.level = 0}});
   ASSERT_TRUE(c->ok);
   driver::ExecOptions s1;
   s1.rand_seed = 1;
@@ -179,7 +181,7 @@ TEST(Exec, SeedOptionChangesData) {
 
 TEST(Exec, RuntimeErrorsPropagateFromRanks) {
   std::string src = "v = 1:4;\nx = v(9);\ndisp(x);";
-  auto c = driver::compile_script(src);
+  auto c = driver::compile_script(src, {}, {.opt = {.level = 0}});
   ASSERT_TRUE(c->ok) << c->diags.to_string();
   try {
     driver::run_parallel(c->lir, mpi::ideal(4), 3);
@@ -198,7 +200,7 @@ TEST(Exec, VirtualTimesGrowWithModelledLatency) {
   // The same program on a slower network must take more virtual time.
   std::string src = "s = 0;\nfor k = 1:20\n v = rand(1, 64);\n s = s + "
                     "sum(v);\nend\nfprintf('%.4f\\n', s);";
-  auto c = driver::compile_script(src);
+  auto c = driver::compile_script(src, {}, {.opt = {.level = 0}});
   ASSERT_TRUE(c->ok);
   mpi::MachineProfile fast = mpi::ideal(8);
   mpi::MachineProfile slow = mpi::ideal(8);

@@ -1,6 +1,6 @@
 // LIR optimizer tests: golden pre/post-opt dumps for fusion, communication
 // LICM, communication CSE and copy propagation; semantic equivalence of
-// -O0 vs -O2 (and kernels on vs off) against the interpreter oracle; the
+// -O0 vs -O2 and of the compiled kernels against the interpreter oracle; the
 // zero-trip loop guard; the post-opt LIR verifier; and the W3207 lint
 // cross-link ("the warning is a note once the optimizer performs the fix").
 #include <gtest/gtest.h>
@@ -26,13 +26,9 @@ std::string lir_at(const std::string& src, int level) {
   return dump_lir(compile_at(src, level)->lir);
 }
 
-std::string run_at(const std::string& src, int level, int np,
-                   bool kernels = true) {
+std::string run_at(const std::string& src, int level, int np) {
   auto c = compile_at(src, level);
-  driver::ExecOptions eopts;
-  eopts.kernels = kernels;
-  return driver::run_parallel(c->lir, mpi::profile_by_name("ideal"), np,
-                              eopts)
+  return driver::run_parallel(c->lir, mpi::profile_by_name("ideal"), np)
       .output;
 }
 
@@ -74,7 +70,7 @@ TEST(OptFuse, SharedIntermediateIsNotLost) {
       "c = t1 + 1;\n"
       "d = t1 - 1;\n"
       "disp(sum(c) + sum(d));\n";
-  EXPECT_EQ(run_at(src, 0, 1, false), run_at(src, 2, 1, true));
+  EXPECT_EQ(run_at(src, 0, 1), run_at(src, 2, 1));
 }
 
 TEST(OptFuse, NoFuseOptionKeepsChains) {
@@ -114,7 +110,7 @@ TEST(OptLicm, HoistsInvariantCommOutOfLoop) {
       << c->preopt_lir;
   // Results agree with the unoptimized program at several rank counts.
   for (int np : {1, 3}) {
-    EXPECT_EQ(run_at(kLicmSrc, 0, np, false), run_at(kLicmSrc, 2, np, true));
+    EXPECT_EQ(run_at(kLicmSrc, 0, np), run_at(kLicmSrc, 2, np));
   }
 }
 
@@ -127,9 +123,9 @@ TEST(OptLicm, ZeroTripLoopSkipsHoistedOps) {
       "  t = sum(v);\n"
       "end\n"
       "disp(t);\n";
-  std::string expect = run_at(src, 0, 1, false);
+  std::string expect = run_at(src, 0, 1);
   EXPECT_NE(expect.find("5"), std::string::npos) << expect;
-  EXPECT_EQ(expect, run_at(src, 2, 1, true));
+  EXPECT_EQ(expect, run_at(src, 2, 1));
   // And a downward zero-trip loop.
   std::string down =
       "v = rand(8, 1); t = 7;\n"
@@ -137,7 +133,7 @@ TEST(OptLicm, ZeroTripLoopSkipsHoistedOps) {
       "  t = sum(v);\n"
       "end\n"
       "disp(t);\n";
-  EXPECT_EQ(run_at(down, 0, 1, false), run_at(down, 2, 1, true));
+  EXPECT_EQ(run_at(down, 0, 1), run_at(down, 2, 1));
 }
 
 TEST(OptLicm, RmwTargetStaysInLoop) {
@@ -154,7 +150,7 @@ TEST(OptLicm, RmwTargetStaysInLoop) {
   ASSERT_NE(loop, std::string::npos);
   // The reduce itself is loop-invariant and may be hoisted, but the
   // accumulation stays put and results agree.
-  EXPECT_EQ(run_at(src, 0, 1, false), run_at(src, 2, 1, true));
+  EXPECT_EQ(run_at(src, 0, 1), run_at(src, 2, 1));
 }
 
 TEST(OptLicm, NoLicmOptionKeepsCommInLoop) {
@@ -181,7 +177,7 @@ TEST(OptCse, DuplicateReduceMergesInBlock) {
   EXPECT_EQ(count_of(dump_lir(c2->lir), "ML_reduce_sum"), 1u)
       << dump_lir(c2->lir);
   EXPECT_GE(c2->opt_report.cse_removed, 1u);
-  EXPECT_EQ(run_at(src, 0, 1, false), run_at(src, 2, 1, true));
+  EXPECT_EQ(run_at(src, 0, 1), run_at(src, 2, 1));
 }
 
 TEST(OptCse, RedefinedOperandBlocksMerge) {
@@ -195,7 +191,7 @@ TEST(OptCse, RedefinedOperandBlocksMerge) {
   auto c2 = compile_at(src, 2);
   EXPECT_EQ(count_of(dump_lir(c2->lir), "ML_reduce_sum"), 2u)
       << dump_lir(c2->lir);
-  EXPECT_EQ(run_at(src, 0, 1, false), run_at(src, 2, 1, true));
+  EXPECT_EQ(run_at(src, 0, 1), run_at(src, 2, 1));
 }
 
 // -- copy propagation ---------------------------------------------------------
@@ -214,7 +210,7 @@ TEST(OptCopyProp, CopyThenUseLosesTheCopy) {
   std::string post = dump_lir(c->lir);
   EXPECT_EQ(post.find("ML_copy"), std::string::npos) << post;
   EXPECT_GE(c->opt_report.copies_propagated, 1u);
-  EXPECT_EQ(run_at(src, 0, 1, false), run_at(src, 2, 1, true));
+  EXPECT_EQ(run_at(src, 0, 1), run_at(src, 2, 1));
 }
 
 TEST(OptCopyProp, DisplayedCopyKeepsItsName) {
@@ -226,7 +222,7 @@ TEST(OptCopyProp, DisplayedCopyKeepsItsName) {
       "a\n"
       "c = a + 1;\n"
       "disp(sum(c));\n";
-  EXPECT_EQ(run_at(src, 0, 1, false), run_at(src, 2, 1, true));
+  EXPECT_EQ(run_at(src, 0, 1), run_at(src, 2, 1));
 }
 
 // -- compiled kernels ---------------------------------------------------------
@@ -238,9 +234,9 @@ TEST(OptKernels, KernelAndTreeWalkAgree) {
       "c = c + a;\n"
       "s = sum(c);\n"
       "disp(s);\n";
+  std::string expect = driver::run_interpreter(src).output;
   for (int np : {1, 3}) {
-    EXPECT_EQ(run_at(src, 2, np, false), run_at(src, 2, np, true))
-        << "np=" << np;
+    EXPECT_EQ(run_at(src, 2, np), expect) << "np=" << np;
   }
 }
 
@@ -252,7 +248,7 @@ TEST(OptKernels, RandTreesKeepPerDrawSemantics) {
       "y = rand;\n"
       "disp(x);\n"
       "disp(y);\n";
-  EXPECT_EQ(run_at(src, 2, 1, false), run_at(src, 2, 1, true));
+  EXPECT_EQ(run_at(src, 2, 1), driver::run_interpreter(src).output);
 }
 
 // -- whole-program equivalence and the verifier -------------------------------
@@ -286,7 +282,7 @@ TEST(OptDifferential, LevelsAgreeAcrossPrograms) {
   };
   for (const char* src : programs) {
     for (int np : {1, 3}) {
-      EXPECT_EQ(run_at(src, 0, np, false), run_at(src, 2, np, true))
+      EXPECT_EQ(run_at(src, 0, np), run_at(src, 2, np))
           << "np=" << np << "\n"
           << src;
     }

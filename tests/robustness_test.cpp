@@ -21,13 +21,15 @@ bool has_code(const DiagEngine& diags, const std::string& code) {
 // -- structured diagnostics ---------------------------------------------------
 
 TEST(Diagnostics, TextRenderingIncludesCode) {
-  auto c = compile_script("x = undefined_thing + 1;");
+  auto c =
+      compile_script("x = undefined_thing + 1;", {}, {.opt = {.level = 0}});
   ASSERT_FALSE(c->ok);
   EXPECT_NE(c->diags.to_string().find("error[E3001]"), std::string::npos);
 }
 
 TEST(Diagnostics, JsonRenderingIsStructured) {
-  auto c = compile_script("x = undefined_thing + 1;");
+  auto c =
+      compile_script("x = undefined_thing + 1;", {}, {.opt = {.level = 0}});
   ASSERT_FALSE(c->ok);
   std::string json = c->diags.to_json();
   EXPECT_NE(json.find("\"code\": \"E3001\""), std::string::npos);
@@ -76,7 +78,7 @@ TEST(Diagnostics, EveryCompileErrorCarriesACode) {
       "m = [1, 2; 3, 4]; b = m(1:2, 1);",   // lower
   };
   for (const char* src : inputs) {
-    auto c = compile_script(src);
+    auto c = compile_script(src, {}, {.opt = {.level = 0}});
     ASSERT_FALSE(c->ok) << src;
     for (const Diagnostic& d : c->diags.diagnostics()) {
       if (d.severity == DiagSeverity::Error) {
@@ -161,7 +163,7 @@ TEST(Budgets, DefaultLimitsLeaveRealScriptsAlone) {
       "a = rand(n, n);\n"
       "b = a * a';\n"
       "s = sum(sum(b));\n"
-      "disp(s);\n");
+      "disp(s);\n", {}, {.opt = {.level = 0}});
   EXPECT_TRUE(c->ok) << c->diags.to_string();
 }
 
@@ -176,7 +178,7 @@ const char* kDegradedScript =
     "disp(sum(s));\n";
 
 TEST(Degradation, UnknownShapeReductionCompilesWithWarningAndGuard) {
-  auto c = compile_script(kDegradedScript);
+  auto c = compile_script(kDegradedScript, {}, {.opt = {.level = 0}});
   ASSERT_TRUE(c->ok) << c->diags.to_string();
   bool warned = false;
   for (const Diagnostic& d : c->diags.diagnostics()) {
@@ -202,7 +204,7 @@ TEST(Degradation, StrictInferRestoresHardError) {
 TEST(Degradation, GuardPassesWhenAssumptionHolds) {
   // k >= 2 for every rand draw, so the operand really is a matrix and the
   // degraded compile must run to completion with interpreter-equal output.
-  auto c = compile_script(kDegradedScript);
+  auto c = compile_script(kDegradedScript, {}, {.opt = {.level = 0}});
   ASSERT_TRUE(c->ok);
   auto run = driver::run_parallel(c->lir, mpi::profile_by_name("ideal"), 2, {});
   auto interp = driver::run_interpreter(kDegradedScript, {}, 1);
@@ -218,7 +220,7 @@ TEST(Degradation, GuardAbortsWhenAssumptionFails) {
       "a = zeros(k, 4) + 1;\n"
       "s = sum(a);\n"
       "disp(sum(s));\n";
-  auto c = compile_script(src);
+  auto c = compile_script(src, {}, {.opt = {.level = 0}});
   ASSERT_TRUE(c->ok) << c->diags.to_string();
   try {
     driver::run_parallel(c->lir, mpi::profile_by_name("ideal"), 1, {});
@@ -239,7 +241,7 @@ TEST(RuntimeErrors, ExecutorFailuresCarryStatementContext) {
       "i = 9;\n"
       "x = v(i);\n"
       "disp(x);\n";
-  auto c = compile_script(src);
+  auto c = compile_script(src, {}, {.opt = {.level = 0}});
   ASSERT_TRUE(c->ok) << c->diags.to_string();
   try {
     driver::run_parallel(c->lir, mpi::profile_by_name("ideal"), 1, {});

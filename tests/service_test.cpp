@@ -110,17 +110,12 @@ TEST(ServiceHash, IsStableAndContentSensitive) {
 TEST(ServiceCache, KeyCoversEveryCompileKnob) {
   using otter::service::artifact_key;
   std::string h = otter::service::script_hash("x = 1");
-  EXPECT_NE(artifact_key(h, 0, "ideal", false, "vm"),
-            artifact_key(h, 2, "ideal", false, "vm"));
-  EXPECT_NE(artifact_key(h, 2, "ideal", false, "vm"),
-            artifact_key(h, 2, "meiko_cs2", false, "vm"));
-  EXPECT_NE(artifact_key(h, 2, "ideal", false, "vm"),
-            artifact_key(h, 2, "ideal", true, "vm"));
-  // Regression: the execution tier is part of the key — a cached tree-tier
-  // artifact (no bytecode module) must never be served to a VM-tier
-  // request, and vice versa.
-  EXPECT_NE(artifact_key(h, 2, "ideal", false, "vm"),
-            artifact_key(h, 2, "ideal", false, "tree"));
+  EXPECT_NE(artifact_key(h, 0, "ideal", false),
+            artifact_key(h, 2, "ideal", false));
+  EXPECT_NE(artifact_key(h, 2, "ideal", false),
+            artifact_key(h, 2, "meiko_cs2", false));
+  EXPECT_NE(artifact_key(h, 2, "ideal", false),
+            artifact_key(h, 2, "ideal", true));
 }
 
 TEST(ServiceCache, LruEvictsUnderByteBudget) {
@@ -341,47 +336,6 @@ TEST(ServiceProtocol, CompilesRunsAndCaches) {
   EXPECT_EQ(svc.stats().cache_hits, 1u);
   EXPECT_EQ(svc.stats().cache_misses, 1u);
   EXPECT_EQ(svc.stats().ok, 2u);
-}
-
-TEST(ServiceProtocol, BackendIsPartOfTheCacheKey) {
-  Service svc;
-  // Same script, same opt level — only the execution tier differs. The
-  // tree request must not be served the VM artifact (or the other way
-  // around): each tier gets its own miss-then-hit lifecycle, and both
-  // produce identical output.
-  std::string script = "a = ones(4,4); disp(sum(sum(a * 2)))";
-  std::string vm_line =
-      R"({"script":")" + script + R"(","np":2,"backend":"vm"})";
-  std::string tree_line =
-      R"({"script":")" + script + R"(","np":2,"backend":"tree"})";
-
-  json::JValue v1 = parse_ok(svc.process_line(vm_line));
-  EXPECT_EQ(v1.get_string("status", ""), "ok");
-  EXPECT_EQ(v1.get_string("cache", ""), "miss");
-
-  json::JValue t1 = parse_ok(svc.process_line(tree_line));
-  EXPECT_EQ(t1.get_string("status", ""), "ok");
-  EXPECT_EQ(t1.get_string("cache", ""), "miss") << "tree request was served "
-                                                   "the cached vm artifact";
-  EXPECT_EQ(t1.get_string("output", ""), v1.get_string("output", ""));
-
-  json::JValue v2 = parse_ok(svc.process_line(vm_line));
-  EXPECT_EQ(v2.get_string("cache", ""), "hit");
-  json::JValue t2 = parse_ok(svc.process_line(tree_line));
-  EXPECT_EQ(t2.get_string("cache", ""), "hit");
-
-  // An absent backend follows the opt level: the default (-O2) resolves to
-  // "vm" and must share the explicit-vm entry, not create a third one.
-  json::JValue d =
-      parse_ok(svc.process_line(R"({"script":")" + script + R"(","np":2})"));
-  EXPECT_EQ(d.get_string("cache", ""), "hit");
-  EXPECT_EQ(svc.stats().cache_misses, 2u);
-
-  // A backend the server does not know is a malformed request, not a tier.
-  json::JValue bad = parse_ok(svc.process_line(
-      R"({"script":"x = 1","backend":"interp"})"));
-  EXPECT_EQ(bad.get_string("status", ""), "bad_request");
-  EXPECT_EQ(bad.get_string("code", ""), "E0011");
 }
 
 TEST(ServiceProtocol, CompileOnlyRequestSkipsExecution) {

@@ -5,9 +5,9 @@
 //
 // Options:
 //   --emit=ast|lir|c       print the selected representation and exit
-//   --run=interp|direct|cc execute via the interpreter, the direct SPMD
-//                          executor (default), or generated C compiled by
-//                          the host toolchain
+//   --run=interp|direct|cc execute via the interpreter, the bytecode VM
+//                          (default, at every opt level), or generated C
+//                          compiled by the host toolchain
 //   --np=N                 number of ranks (default 1)
 //   --machine=NAME         meiko_cs2 | sparc20_cluster | enterprise_smp |
 //                          ideal (default ideal)
@@ -48,11 +48,6 @@
 //                          propagation, fusion of element-wise chains, and
 //                          dead-result sweeping; -O2 adds communication CSE
 //                          and loop-invariant communication motion
-//   --backend=vm|tree      execution tier for --run=direct: the register
-//                          bytecode VM or the tree-walking executor. Default
-//                          follows the opt level: -O0 runs the tree walker
-//                          (the differential-fuzzing reference), -O1/-O2 run
-//                          the VM. Travels with --remote requests.
 //   --dump-bytecode        print the compiled LIR bytecode (register VM
 //                          form) and exit
 //   --no-fuse              keep element-wise chains unfused at -O1/-O2
@@ -139,7 +134,6 @@ struct Options {
   bool fuse = true;
   bool licm = true;
   bool guard_elim = true;
-  std::string backend;  // "vm" | "tree" | "" = follow the opt level
   bool dump_bytecode = false;
   std::string dump_lir;
   std::string remote;      // otterd socket path; empty = compile locally
@@ -166,7 +160,7 @@ int usage() {
       "              [--lint] [--analyze] [--Werror] [--no-verify-lir]\n"
       "              [--no-dse]\n"
       "              [-O0|-O1|-O2] [--no-fuse] [--no-licm] [--no-guard-elim]\n"
-      "              [--backend=vm|tree] [--dump-bytecode]\n"
+      "              [--dump-bytecode]\n"
       "              [--dump-lir=pre-opt|post-opt]\n"
       "              [--mem-mb=N]\n"
       "              [--remote=SOCKET [--op=ping|stats|shutdown]\n"
@@ -204,8 +198,7 @@ bool parse_args(int argc, char** argv, Options& o) try {
     } else if (auto v = value("--dist=")) {
       o.dist = (*v == "cyclic") ? otter::rt::Dist::Cyclic
                                 : otter::rt::Dist::RowBlock;
-    } else if (auto v = value("--backend=")) o.backend = *v;
-    else if (a == "--dump-bytecode") o.dump_bytecode = true;
+    } else if (a == "--dump-bytecode") o.dump_bytecode = true;
     else if (auto v = value("--dump-lir=")) o.dump_lir = *v;
     else if (auto v = value("--remote=")) o.remote = *v;
     else if (auto v = value("--op=")) o.remote_op = *v;
@@ -239,9 +232,6 @@ bool parse_args(int argc, char** argv, Options& o) try {
   if ((o.checkpoint > 0 || o.resume) && o.checkpoint_dir.empty()) return false;
   if (!o.dump_lir.empty() && o.dump_lir != "pre-opt" &&
       o.dump_lir != "post-opt") {
-    return false;
-  }
-  if (!o.backend.empty() && o.backend != "vm" && o.backend != "tree") {
     return false;
   }
   if (!o.remote_op.empty()) {
@@ -304,7 +294,6 @@ int run_remote(const Options& opt, const std::string& source) {
     req.set("machine", opt.machine);
     req.set("opt_level", opt.opt_level);
     req.set("strict_infer", opt.strict_infer);
-    if (!opt.backend.empty()) req.set("backend", opt.backend);
     req.set("rand_seed", opt.seed);
     if (!opt.fault_plan.empty()) req.set("fault_plan", opt.fault_plan);
     if (opt.deadline > 0) req.set("deadline", opt.deadline);
@@ -542,16 +531,6 @@ int main(int argc, char** argv) {
     otter::driver::ExecOptions eopts;
     eopts.dist = opt.dist;
     eopts.rand_seed = opt.seed;
-    // Tier selection: an explicit --backend wins; otherwise -O0 keeps the
-    // tree walker (the differential reference) and -O1/-O2 get the VM.
-    if (opt.backend == "tree") {
-      eopts.backend = otter::driver::ExecBackend::Tree;
-    } else if (opt.backend == "vm") {
-      eopts.backend = otter::driver::ExecBackend::Vm;
-    } else {
-      eopts.backend = opt.opt_level == 0 ? otter::driver::ExecBackend::Tree
-                                         : otter::driver::ExecBackend::Vm;
-    }
     eopts.spmd.watchdog_timeout = opt.timeout;
     eopts.spmd.mem_budget_bytes = mem_budget_bytes(opt.mem_mb);
     if (!opt.fault_plan.empty()) {

@@ -11,17 +11,17 @@
 //      the same no-crash / always-a-diagnostic contract.
 //   3. Differential execution: every script in the valid corpus runs through
 //      the baseline interpreter AND the compiled pipeline at np=1 and np=3 —
-//      the tree-walking executor at -O0 (the reference tier), the tree
-//      executor at -O2, and the register-bytecode VM at -O2; all outputs
-//      must agree exactly.
+//      the bytecode VM on the LIR exactly as lowered (-O0, no DSE) and on
+//      the full default pipeline (DSE + -O2); all outputs must agree
+//      exactly.
 //   4. Guard/divergence generator: seeded random scripts mixing provable and
 //      unprovable matrix shapes, reductions (shape guards), and optionally
 //      rank-divergent control around communication. Each script is executed
-//      at -O0 and -O2 on the same ranks and must behave identically — the
-//      differential test for the abstract-interpretation-backed ShapeGuard
-//      elimination. Scripts the analyzer flags W3210 (rank-divergent
-//      communication) are compile-checked but never executed: the flagged
-//      divergence really deadlocks.
+//      at -O0 and -O2 on the same ranks (both on the VM) and must behave
+//      identically — the differential test for the abstract-interpretation-
+//      backed ShapeGuard elimination. Scripts the analyzer flags W3210
+//      (rank-divergent communication) are compile-checked but never
+//      executed: the flagged divergence really deadlocks.
 //
 // Usage:
 //   otterfuzz [--seeds=LO:HI] [--mutations=N] [--corpus=DIR] [--no-diff]
@@ -259,8 +259,8 @@ std::vector<fs::path> list_scripts(const fs::path& dir) {
 
 // -- differential check -------------------------------------------------------
 
-/// Runs `source` through the interpreter and the compiled direct executor at
-/// np=1 and np=3; returns a problem description, or empty when all agree.
+/// Runs `source` through the interpreter and the compiled pipeline at np=1
+/// and np=3; returns a problem description, or empty when all agree.
 std::string diff_one(const std::string& source) {
   std::string interp_out;
   try {
@@ -269,40 +269,30 @@ std::string diff_one(const std::string& source) {
     return std::string("interpreter failed: ") + e.what();
   }
   otter::mpi::MachineProfile profile = otter::mpi::profile_by_name("ideal");
-  // Leg 1: the tree executor on the LIR exactly as lowered (-O0, no DSE) —
-  // the reference tier. Leg 2: the tree executor on the full default
-  // pipeline (DSE + the -O2 optimizer + compiled kernels). Leg 3: the
-  // register-bytecode VM on the same -O2 LIR, so the default execution tier
-  // is differentially tested against both the interpreter and the walker.
+  // Leg 1: the VM on the LIR exactly as lowered (-O0, no DSE). Leg 2: the
+  // VM on the full default pipeline (DSE + the -O2 optimizer), so lowering
+  // and the optimizer are each differentially tested against the
+  // interpreter.
   struct Leg {
     int level;
-    otter::driver::ExecBackend backend;
     const char* tag;
   };
   const Leg kLegs[] = {
-      {0, otter::driver::ExecBackend::Tree, " (tree -O0)"},
-      {2, otter::driver::ExecBackend::Tree, " (tree -O2)"},
-      {2, otter::driver::ExecBackend::Vm, " (vm -O2)"},
+      {0, " (vm -O0)"},
+      {2, " (vm -O2)"},
   };
-  std::unique_ptr<otter::driver::CompileResult> compiled[3];  // by opt level
   for (const Leg& leg : kLegs) {
-    if (!compiled[leg.level]) {
-      otter::driver::CompileOptions copts;
-      copts.lower.dse = leg.level > 0;
-      copts.opt.level = leg.level;
-      compiled[leg.level] = otter::driver::compile_script(source, {}, copts);
-      if (!compiled[leg.level]->ok) {
-        return std::string("valid corpus script failed to compile") +
-               leg.tag + ":\n" + compiled[leg.level]->diags.to_string();
-      }
+    otter::driver::CompileOptions copts;
+    copts.lower.dse = leg.level > 0;
+    copts.opt.level = leg.level;
+    auto compiled = otter::driver::compile_script(source, {}, copts);
+    if (!compiled->ok) {
+      return std::string("valid corpus script failed to compile") + leg.tag +
+             ":\n" + compiled->diags.to_string();
     }
-    otter::driver::ExecOptions eopts;
-    eopts.kernels = leg.level > 0;
-    eopts.backend = leg.backend;
     for (int np : {1, 3}) {
       try {
-        auto run = otter::driver::run_parallel(compiled[leg.level]->lir,
-                                               profile, np, eopts);
+        auto run = otter::driver::run_parallel(compiled->lir, profile, np);
         if (run.output != interp_out) {
           return "np=" + std::to_string(np) + leg.tag +
                  " output diverges from the interpreter\n--- interp ---\n" +
@@ -366,15 +356,11 @@ struct RunOutcome {
   std::string out;  // output, or the failure code/description
 };
 
-RunOutcome run_guard_script(const otter::lower::LProgram& lir, int np,
-                            bool kernels, otter::driver::ExecBackend backend) {
+RunOutcome run_guard_script(const otter::lower::LProgram& lir, int np) {
   RunOutcome r;
-  otter::driver::ExecOptions eopts;
-  eopts.kernels = kernels;
-  eopts.backend = backend;
   try {
     r.out = otter::driver::run_parallel(
-                lir, otter::mpi::profile_by_name("ideal"), np, eopts)
+                lir, otter::mpi::profile_by_name("ideal"), np)
                 .output;
     r.ok = true;
   } catch (const otter::mpi::SpmdFailure& e) {
@@ -413,26 +399,13 @@ std::string diff_guard_levels(const std::string& source, Stats& stats,
       return {};
     }
   }
-  using otter::driver::ExecBackend;
   for (int np : {1, 3}) {
-    RunOutcome o0 = run_guard_script(levels[0]->lir, np, /*kernels=*/false,
-                                     ExecBackend::Tree);
-    RunOutcome o2 = run_guard_script(levels[1]->lir, np, /*kernels=*/true,
-                                     ExecBackend::Tree);
+    RunOutcome o0 = run_guard_script(levels[0]->lir, np);
+    RunOutcome o2 = run_guard_script(levels[1]->lir, np);
     if (o0.ok != o2.ok || o0.out != o2.out) {
       return "np=" + std::to_string(np) +
              " -O0 and -O2 behaviour diverges\n--- -O0 ---\n" + o0.out +
              "\n--- -O2 ---\n" + o2.out + "\n--- script ---\n" + source;
-    }
-    // The VM on the same -O2 LIR must reproduce the tree tier's behaviour
-    // exactly — including which guard fires and with what code.
-    RunOutcome ovm = run_guard_script(levels[1]->lir, np, /*kernels=*/true,
-                                     ExecBackend::Vm);
-    if (o2.ok != ovm.ok || o2.out != ovm.out) {
-      return "np=" + std::to_string(np) +
-             " tree and vm behaviour diverges at -O2\n--- tree ---\n" +
-             o2.out + "\n--- vm ---\n" + ovm.out + "\n--- script ---\n" +
-             source;
     }
   }
   return {};
