@@ -98,6 +98,14 @@ class Verifier {
       case LExpr::Kind::NumelOf:
         check_ref(in, e.var, true, defined, "shape-query operand");
         break;
+      case LExpr::Kind::RandScalar:
+        // An element-wise loop runs block by block, so it cannot keep the
+        // interpreter's per-element draw order; lowering hoists rand into
+        // a scalar assignment instead.
+        if (matrix_ok) {
+          err("E6008", in, "element-wise loop tree draws rand");
+        }
+        break;
       default:
         break;
     }

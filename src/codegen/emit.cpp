@@ -389,6 +389,9 @@ class Emitter {
         collect_matvars(*in.tree, vars, seen);
         open("{");
         const std::string& shape = vars.front();
+        for (size_t i = 1; i < vars.size(); ++i) {
+          line("rt::require_aligned(" + shape + ", " + vars[i] + ");");
+        }
         if (seen.count(in.dst) == 0) {
           // Destination is not an operand: reuse its buffer across
           // iterations of the surrounding script (ensure_like keeps the

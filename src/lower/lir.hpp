@@ -16,6 +16,7 @@
 
 #include <memory>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "rtlib/dmatrix.hpp"
@@ -189,5 +190,36 @@ std::string dump_lexpr(const LExpr& e);
 
 /// Short mnemonic for an opcode ("matmul", "get-elem", …) for diagnostics.
 const char* lop_name(LOp op);
+
+// -- tree and instruction queries ------------------------------------------------
+// Shared by the optimizer (opt.cpp) and dead-statement elimination (dse.cpp).
+
+using NameSet = std::unordered_set<std::string>;
+
+/// Whether the tree draws rand (advances the shared random sequence).
+bool tree_has_rand(const LExpr& e);
+
+/// Adds every variable the tree reads to `out`; a null tree reads nothing.
+void tree_vars(const LExpr* e, NameSet& out);
+
+/// Reads of one instruction, excluding control-flow children (conditions,
+/// bounds and nested bodies are handled by the structured walks).
+void instr_reads(const LInstr& in, NameSet& out);
+
+/// In-place matrix mutations: the destination is read-modify-write, so it
+/// stays live across the instruction instead of being killed.
+bool is_rmw(LOp op);
+
+/// Whether any of the instruction's own trees draws rand.
+bool any_tree_has_rand(const LInstr& in);
+
+/// Whether the instruction may be deleted when its results are unread: it
+/// is pure and never advances the random sequence.
+bool removable(const LInstr& in);
+
+/// All names read anywhere in a body (recursively), rmw targets included —
+/// the conservative live set applied at break/continue/return, and the "is
+/// this definition observable" set for the optimizer's sweep.
+void collect_ever_read(const std::vector<LInstrPtr>& body, NameSet& out);
 
 }  // namespace otter::lower

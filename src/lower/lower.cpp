@@ -188,6 +188,11 @@ class Lowerer {
   }
 
   // -- scalar expressions -----------------------------------------------------------
+  // Both operands of a binary node are lowered into named locals, left to
+  // right, before the node is built: lowering an operand may emit hoisted
+  // run-time calls and rand draws, and C++ leaves the evaluation order of
+  // function arguments unspecified, so lbin(op, lower(a), lower(b)) could
+  // draw b's random numbers before a's.
 
   LExprPtr lower_scalar(const Expr& e) {
     switch (e.kind) {
@@ -284,7 +289,9 @@ class Lowerer {
       case BinOp::MatDiv:
       case BinOp::ElemDiv: op = EwBin::Div; break;
       case BinOp::MatLDiv: {
-        return lbin(EwBin::Div, lower_scalar(*e.rhs), lower_scalar(*e.lhs));
+        LExprPtr divisor = lower_scalar(*e.lhs);
+        LExprPtr dividend = lower_scalar(*e.rhs);
+        return lbin(EwBin::Div, std::move(dividend), std::move(divisor));
       }
       case BinOp::MatPow:
       case BinOp::ElemPow: op = EwBin::Pow; break;
@@ -305,7 +312,9 @@ class Lowerer {
     if (ty(*e.lhs).is_matrix() || ty(*e.rhs).is_matrix()) {
       return lower_matrix_to_scalar(e);
     }
-    return lbin(op, lower_scalar(*e.lhs), lower_scalar(*e.rhs));
+    LExprPtr a = lower_scalar(*e.lhs);
+    LExprPtr b = lower_scalar(*e.rhs);
+    return lbin(op, std::move(a), std::move(b));
   }
 
   /// Scalar-valued (1x1) binary expression with matrix operands, e.g. the
@@ -324,8 +333,9 @@ class Lowerer {
       in.args.push_back(mat_operand(a));
       in.args.push_back(mat_operand(b));
     } else if (is_elementwise_tree(e)) {
-      LExprPtr tree = lbin(ew_bin_of(e.bin_op), build_child(*e.lhs),
-                           build_child(*e.rhs));
+      LExprPtr a = build_child(*e.lhs);
+      LExprPtr b = build_child(*e.rhs);
+      LExprPtr tree = lbin(ew_bin_of(e.bin_op), std::move(a), std::move(b));
       m = fresh_temp(true);
       LInstr& in = emit(LOp::Elemwise, e.loc);
       in.dst = m;
@@ -419,8 +429,10 @@ class Lowerer {
       case Builtin::MaxFn: {
         if (e.args.size() == 2) {
           // Scalar two-arg min/max.
+          LExprPtr x = arg_scalar(0);
+          LExprPtr y = arg_scalar(1);
           return lbin(b->id == Builtin::MinFn ? EwBin::Min : EwBin::Max,
-                      arg_scalar(0), arg_scalar(1));
+                      std::move(x), std::move(y));
         }
         if (ty(*e.args[0]).is_scalar()) return arg_scalar(0);
         std::string m = lower_matrix(*e.args[0]);
@@ -482,8 +494,13 @@ class Lowerer {
       case Builtin::Ceil: return lun(EwUn::Ceil, arg_scalar(0));
       case Builtin::Round: return lun(EwUn::Round, arg_scalar(0));
       case Builtin::Sign: return lun(EwUn::Sign, arg_scalar(0));
-      case Builtin::Mod: return lbin(EwBin::Mod, arg_scalar(0), arg_scalar(1));
-      case Builtin::Rem: return lbin(EwBin::Rem, arg_scalar(0), arg_scalar(1));
+      case Builtin::Mod:
+      case Builtin::Rem: {
+        LExprPtr x = arg_scalar(0);
+        LExprPtr y = arg_scalar(1);
+        return lbin(b->id == Builtin::Mod ? EwBin::Mod : EwBin::Rem,
+                    std::move(x), std::move(y));
+      }
       case Builtin::Real:
       case Builtin::Conj: return arg_scalar(0);
       case Builtin::Imag: { arg_scalar(0); return limm(0); }
@@ -611,7 +628,7 @@ class Lowerer {
       case ExprKind::Binary: {
         // Element-wise tree if every matrix node is alignment-safe.
         if (is_elementwise_tree(e)) {
-          LExprPtr tree = build_ew_tree(e);
+          LExprPtr tree = build_elemwise_tree(e);
           std::string dst = dst_hint.empty() ? fresh_temp(true) : dst_hint;
           LInstr& in = emit(LOp::Elemwise, e.loc);
           in.dst = dst;
@@ -709,16 +726,16 @@ class Lowerer {
   LExprPtr build_child(const Expr& e) {
     if (ty(e).is_scalar()) return hoist_if_complex(lower_scalar(e), e.loc);
     if (is_elementwise_tree(e) && e.kind != ExprKind::Call) {
-      return build_ew_tree(e);
+      return build_elemwise_tree(e);
     }
     if (e.kind == ExprKind::Call && e.callee == CalleeKind::Builtin &&
         is_elementwise_tree(e)) {
-      return build_ew_tree(e);
+      return build_elemwise_tree(e);
     }
     return lmvar(lower_matrix(e));
   }
 
-  LExprPtr build_ew_tree(const Expr& e) {
+  LExprPtr build_elemwise_tree(const Expr& e) {
     if (ty(e).is_scalar()) {
       return hoist_if_complex(lower_scalar(e), e.loc);
     }
@@ -739,8 +756,11 @@ class Lowerer {
           case BinOp::MatMul: op = EwBin::Mul; break;
           case BinOp::ElemDiv:
           case BinOp::MatDiv: op = EwBin::Div; break;
-          case BinOp::MatLDiv:
-            return lbin(EwBin::Div, build_child(*e.rhs), build_child(*e.lhs));
+          case BinOp::MatLDiv: {
+            LExprPtr divisor = build_child(*e.lhs);
+            LExprPtr dividend = build_child(*e.rhs);
+            return lbin(EwBin::Div, std::move(dividend), std::move(divisor));
+          }
           case BinOp::ElemPow: op = EwBin::Pow; break;
           case BinOp::Lt: op = EwBin::Lt; break;
           case BinOp::Le: op = EwBin::Le; break;
@@ -752,7 +772,9 @@ class Lowerer {
           case BinOp::Or: op = EwBin::Or; break;
           default: op = EwBin::Add; break;
         }
-        return lbin(op, build_child(*e.lhs), build_child(*e.rhs));
+        LExprPtr a = build_child(*e.lhs);
+        LExprPtr b = build_child(*e.rhs);
+        return lbin(op, std::move(a), std::move(b));
       }
       case ExprKind::Call: {
         const BuiltinInfo* b = find_builtin(e.name);
@@ -770,11 +792,12 @@ class Lowerer {
           case Builtin::Round: op = EwUn::Round; break;
           case Builtin::Sign: op = EwUn::Sign; break;
           case Builtin::Mod:
-            return lbin(EwBin::Mod, build_child(*e.args[0]),
-                        build_child(*e.args[1]));
-          case Builtin::Rem:
-            return lbin(EwBin::Rem, build_child(*e.args[0]),
-                        build_child(*e.args[1]));
+          case Builtin::Rem: {
+            LExprPtr x = build_child(*e.args[0]);
+            LExprPtr y = build_child(*e.args[1]);
+            return lbin(b->id == Builtin::Mod ? EwBin::Mod : EwBin::Rem,
+                        std::move(x), std::move(y));
+          }
           case Builtin::Real:
           case Builtin::Conj:
             return build_child(*e.args[0]);
@@ -877,9 +900,10 @@ class Lowerer {
       case Builtin::MaxFn: {
         if (e.args.size() == 2) {
           // Element-wise two-arg min/max over matrices.
-          LExprPtr tree =
-              lbin(b->id == Builtin::MinFn ? EwBin::Min : EwBin::Max,
-                   build_child(*e.args[0]), build_child(*e.args[1]));
+          LExprPtr x = build_child(*e.args[0]);
+          LExprPtr y = build_child(*e.args[1]);
+          EwBin op = b->id == Builtin::MinFn ? EwBin::Min : EwBin::Max;
+          LExprPtr tree = lbin(op, std::move(x), std::move(y));
           LInstr& in = emit(LOp::Elemwise, e.loc);
           in.dst = dst;
           in.tree = std::move(tree);
@@ -917,7 +941,7 @@ class Lowerer {
       }
       default: {
         if (b->elementwise) {
-          LExprPtr tree = build_ew_tree(e);
+          LExprPtr tree = build_elemwise_tree(e);
           LInstr& in = emit(LOp::Elemwise, e.loc);
           in.dst = dst;
           in.tree = std::move(tree);
@@ -1017,7 +1041,7 @@ class Lowerer {
     // Matrix condition: true iff every element is nonzero.
     LExprPtr elem_tree;
     if (is_elementwise_tree(e)) {
-      elem_tree = lbin(EwBin::Ne, build_ew_tree(e), limm(0));
+      elem_tree = lbin(EwBin::Ne, build_elemwise_tree(e), limm(0));
     } else {
       elem_tree = lbin(EwBin::Ne, lmvar(lower_matrix(e)), limm(0));
     }

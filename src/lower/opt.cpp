@@ -29,104 +29,6 @@ namespace {
 
 using Set = std::unordered_set<std::string>;
 
-// -- tree / instruction queries (mirrors dse.cpp's local helpers) -------------
-
-bool tree_has_rand(const LExpr& e) {
-  if (e.kind == LExpr::Kind::RandScalar) return true;
-  if (e.a && tree_has_rand(*e.a)) return true;
-  if (e.b && tree_has_rand(*e.b)) return true;
-  return false;
-}
-
-void tree_vars(const LExpr* e, Set& out) {
-  if (e == nullptr) return;
-  switch (e->kind) {
-    case LExpr::Kind::ScalarVar:
-    case LExpr::Kind::MatVar:
-    case LExpr::Kind::RowsOf:
-    case LExpr::Kind::ColsOf:
-    case LExpr::Kind::NumelOf:
-      out.insert(e->var);
-      break;
-    default:
-      break;
-  }
-  tree_vars(e->a.get(), out);
-  tree_vars(e->b.get(), out);
-}
-
-/// Reads of one instruction, excluding control-flow children (conditions,
-/// bounds and nested bodies are handled by the structured walks).
-void instr_reads(const LInstr& in, Set& out) {
-  for (const LOperand& o : in.args) {
-    if (o.is_matrix) out.insert(o.mat);
-    tree_vars(o.scalar.get(), out);
-  }
-  tree_vars(in.tree.get(), out);
-  for (const auto& row : in.literal_rows) {
-    for (const LExprPtr& e : row) tree_vars(e.get(), out);
-  }
-}
-
-/// In-place matrix mutations: the destination is read-modify-write.
-bool is_rmw(LOp op) {
-  switch (op) {
-    case LOp::SetElem:
-    case LOp::AssignRowOp:
-    case LOp::AssignColOp:
-    case LOp::AssignSliceOp:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool any_tree_has_rand(const LInstr& in) {
-  for (const LOperand& o : in.args) {
-    if (o.scalar && tree_has_rand(*o.scalar)) return true;
-  }
-  if (in.tree && tree_has_rand(*in.tree)) return true;
-  for (const auto& row : in.literal_rows) {
-    for (const LExprPtr& e : row) {
-      if (e && tree_has_rand(*e)) return true;
-    }
-  }
-  return false;
-}
-
-/// Whether the instruction may be deleted when its results are unread
-/// (same whitelist as DSE: pure, and never advances the random sequence).
-bool removable(const LInstr& in) {
-  switch (in.op) {
-    case LOp::MatMul:
-    case LOp::MatVec:
-    case LOp::VecMat:
-    case LOp::OuterProd:
-    case LOp::TransposeOp:
-    case LOp::DotProd:
-    case LOp::Reduce:
-    case LOp::Colwise:
-    case LOp::Norm:
-    case LOp::Trapz:
-    case LOp::GetElem:
-    case LOp::ExtractRowOp:
-    case LOp::ExtractColOp:
-    case LOp::SliceVec:
-    case LOp::FillZeros:
-    case LOp::FillOnes:
-    case LOp::FillEye:
-    case LOp::FillRange:
-    case LOp::FillLinspace:
-    case LOp::FromLiteral:
-    case LOp::CopyMat:
-    case LOp::Elemwise:
-    case LOp::ScalarAssign:
-      return !any_tree_has_rand(in);
-    default:
-      return false;
-  }
-}
-
 /// Pure communication reads: the run-time calls the optimizer may CSE or
 /// hoist. The W3207 set minus LoadFile (I/O stays where it was written).
 bool is_comm_read(LOp op) {
@@ -227,25 +129,6 @@ bool reads_name(const LInstr& in, const std::string& t) {
     if (reads_name(*ip, t)) return true;
   }
   return false;
-}
-
-/// All names read anywhere in a body (recursively), rmw targets included —
-/// the "is this definition observable" set for the sweep.
-void collect_ever_read(const std::vector<LInstrPtr>& body, Set& out) {
-  for (const LInstrPtr& ip : body) {
-    const LInstr& in = *ip;
-    instr_reads(in, out);
-    if (is_rmw(in.op) && !in.dst.empty()) out.insert(in.dst);
-    for (const LIfArm& arm : in.arms) {
-      tree_vars(arm.cond.get(), out);
-      collect_ever_read(arm.body, out);
-    }
-    tree_vars(in.cond.get(), out);
-    tree_vars(in.lo.get(), out);
-    tree_vars(in.step.get(), out);
-    tree_vars(in.hi.get(), out);
-    collect_ever_read(in.body, out);
-  }
 }
 
 // -- copy propagation ---------------------------------------------------------

@@ -140,7 +140,11 @@ Network::Network(MachineProfile profile_in, int nranks_in, SpmdOptions opts_in)
 void Network::deliver(int dst, Message msg) {
   std::lock_guard<std::mutex> lock(mu_);
   queues_.at(static_cast<size_t>(dst)).push_back(std::move(msg));
-  cv_.notify_all();
+  waiters_[static_cast<size_t>(dst)].cv.notify_one();
+}
+
+void Network::wake_all_locked() {
+  for (Waiter& w : waiters_) w.cv.notify_one();
 }
 
 bool Network::match_in_queue_locked(int dst, int src, int tag) const {
@@ -174,7 +178,7 @@ void Network::abort_locked(int rank, const std::string& what) {
   } else {
     abort_what_ = what;
   }
-  cv_.notify_all();
+  wake_all_locked();
 }
 
 void Network::abort(int rank, const std::string& what) {
@@ -209,7 +213,7 @@ void Network::rank_done(int rank) {
   ++done_;
   // Peers blocked on this rank can now never be satisfied; recheck.
   check_deadlock_locked();
-  cv_.notify_all();
+  wake_all_locked();
 }
 
 Message Network::await(int dst, int src, int tag) {
@@ -224,7 +228,9 @@ Message Network::await(int dst, int src, int tag) {
     deadline = opts.run_deadline;
   }
   Waiter& me = waiters_[static_cast<size_t>(dst)];
-  me = {true, src, tag};
+  me.active = true;
+  me.src = src;
+  me.tag = tag;
   ++waiting_;
   // Deregister on every exit path (match, abort, watchdog).
   struct Deregister {
@@ -264,7 +270,7 @@ Message Network::await(int dst, int src, int tag) {
     }
     // Short slices so the backstop deadline is honoured even if no
     // notification ever arrives.
-    cv_.wait_for(lock, std::chrono::milliseconds(50));
+    me.cv.wait_for(lock, std::chrono::milliseconds(50));
   }
 }
 

@@ -145,6 +145,8 @@ struct Message {
 /// every live rank blocked with nothing deliverable?" — a trivially
 /// consistent snapshot, and with <= 16 simulated ranks the contention is
 /// irrelevant (virtual time, not wall time, is what the model reports).
+/// Each rank blocks on its own condition variable, so a delivery wakes only
+/// its receiver; abort and rank exit wake every rank.
 class Network {
  public:
   Network(MachineProfile profile, int nranks, SpmdOptions opts = {});
@@ -184,6 +186,7 @@ class Network {
     bool active = false;
     int src = -1;
     int tag = 0;
+    std::condition_variable cv;  ///< the owning rank blocks here
   };
 
   [[nodiscard]] bool match_in_queue_locked(int dst, int src, int tag) const;
@@ -193,9 +196,9 @@ class Network {
   bool check_deadlock_locked();
   [[nodiscard]] std::string waitfor_report_locked() const;
   void abort_locked(int rank, const std::string& what);
+  void wake_all_locked();
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;
   std::vector<std::deque<Message>> queues_;
   std::vector<Waiter> waiters_;
   int waiting_ = 0;  // ranks currently blocked in await

@@ -250,11 +250,15 @@ size_t DMat::local_index(size_t r, size_t c) const {
 
 // -- element-wise scalar kernels ------------------------------------------------
 
-DMat ew_binary(mpi::Comm& comm, EwBin op, const DMat& a, const DMat& b) {
+void require_aligned(const DMat& a, const DMat& b) {
   if (!a.aligned_with(b)) {
     fail("element-wise op on unaligned operands: " + shape_str(a) + " vs " +
          shape_str(b));
   }
+}
+
+DMat ew_binary(mpi::Comm& comm, EwBin op, const DMat& a, const DMat& b) {
+  require_aligned(a, b);
   DMat out(comm, a.rows(), a.cols(), a.layout().dist());
   auto av = a.local();
   auto bv = b.local();

@@ -135,7 +135,7 @@ class DMat {
   gov::DoubleBuffer local_;
 };
 
-/// Element-wise operator codes shared between the direct executor and
+/// Element-wise operator codes shared by the LIR, the bytecode VM and
 /// generated C code.
 enum class EwBin : uint8_t {
   Add, Sub, Mul, Div, Pow, Lt, Le, Gt, Ge, Eq, Ne, And, Or, Mod, Rem,
@@ -145,10 +145,15 @@ enum class EwUn : uint8_t {
   Neg, Not, Abs, Sqrt, Exp, Log, Sin, Cos, Tan, Floor, Ceil, Round, Sign,
 };
 
-// Defined inline: these run once per element per operator in every
-// element-wise loop — the compiled Kernel's postfix steps, the bytecode VM's
-// fused superinstructions and its per-element tree fallback. An out-of-line
-// call here is a measurable fraction of the VM's per-element budget.
+/// Operator counts, for tables indexed by operator (Max and Sign stay last).
+inline constexpr size_t kEwBinCount = static_cast<size_t>(EwBin::Max) + 1;
+inline constexpr size_t kEwUnCount = static_cast<size_t>(EwUn::Sign) + 1;
+
+// The one definition of each element-wise operator, used by the VM's
+// compiled kernels and scalar instructions, by generated C and by the
+// ew_* helpers below. Defined inline so that a call with a constant `op`
+// folds to the bare operation: driver/kernel.cpp instantiates one block
+// loop per operator this way.
 inline double ew_apply_bin(EwBin op, double a, double b) {
   switch (op) {
     case EwBin::Add: return a + b;
@@ -247,6 +252,11 @@ void set_element(mpi::Comm& comm, DMat& m, size_t r, size_t c, double v);
 // -- communication-free element-wise helpers -----------------------------------
 // Identical-size objects are identically distributed, so these touch only
 // local storage. Generated C code emits raw loops with the same semantics.
+
+/// Throws RtError [E5001] "element-wise op on unaligned operands" unless
+/// `b` is aligned with `a`: the precondition of every communication-free
+/// element-wise loop (ew_binary, the VM's compiled kernels, generated C).
+void require_aligned(const DMat& a, const DMat& b);
 
 DMat ew_binary(mpi::Comm& comm, EwBin op, const DMat& a, const DMat& b);
 DMat ew_binary_scalar(mpi::Comm& comm, EwBin op, const DMat& a, double s,

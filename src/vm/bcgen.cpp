@@ -17,7 +17,7 @@ using lower::LProgram;
 namespace {
 
 /// Compiles one scope (script or function body) into a BcChunk. All pool
-/// state (constants, strings, aux, kernels, trees, statement table, cache
+/// state (constants, strings, aux, kernels, statement table, cache
 /// slots) is shared module-wide; register files are per chunk.
 class ChunkGen {
  public:
@@ -294,104 +294,39 @@ class ChunkGen {
 
   // -- element-wise statements -------------------------------------------------
 
-  /// Flattens an element-wise tree into register-resolved RNodes. Returns
-  /// the node index, or -1 when a leaf is unresolvable (Trap emitted).
-  int32_t flatten_tree(const LExpr& e, TreeEntry& t, bool& bad) {
-    RNode n;
-    n.kind = e.kind;
-    switch (e.kind) {
-      case LExpr::Kind::Imm:
-        n.imm = e.imm;
-        break;
-      case LExpr::Kind::ScalarVar: {
-        uint32_t r = sreg_of(e.var);
-        if (r == kNoReg) {
-          trap("undefined scalar '" + e.var + "'");
-          bad = true;
-          return -1;
-        }
-        n.reg = r;
-        break;
-      }
-      case LExpr::Kind::MatVar:
-      case LExpr::Kind::RowsOf:
-      case LExpr::Kind::ColsOf:
-      case LExpr::Kind::NumelOf: {
-        uint32_t m = mreg_of(e.var);
-        if (m == kNoReg) {
-          trap("undefined matrix '" + e.var + "'");
-          bad = true;
-          return -1;
-        }
-        n.reg = m;
-        n.name = str(e.var);
-        if (e.kind == LExpr::Kind::MatVar && t.shape_mreg < 0) {
-          t.shape_mreg = static_cast<int32_t>(m);
-        }
-        break;
-      }
-      case LExpr::Kind::Bin: {
-        n.bop = e.bop;
-        n.a = flatten_tree(*e.a, t, bad);
-        if (bad) return -1;
-        n.b = flatten_tree(*e.b, t, bad);
-        if (bad) return -1;
-        break;
-      }
-      case LExpr::Kind::Un: {
-        n.uop = e.uop;
-        n.a = flatten_tree(*e.a, t, bad);
-        if (bad) return -1;
-        break;
-      }
-      case LExpr::Kind::RandScalar:
-      case LExpr::Kind::RankId:
-      case LExpr::Kind::NProcs:
-        break;
-    }
-    t.nodes.push_back(n);
-    return static_cast<int32_t>(t.nodes.size() - 1);
-  }
-
   void elemwise(const LInstr& in) {
     uint32_t dst = dst_mreg(in);
     if (dst == kNoReg) return;
-    driver::Kernel k = driver::compile_kernel(*in.tree);
-    if (k.ok && !k.mats.empty()) {
-      KernelEntry ke;
-      ke.mat_regs.reserve(k.mats.size());
-      for (const std::string& name : k.mats) {
-        uint32_t m = mreg_of(name);
-        if (m == kNoReg) {
-          trap("undefined matrix '" + name + "'");
-          return;
-        }
-        ke.mat_regs.push_back(m);
-      }
-      // Scalar slots become registers computed by the instructions emitted
-      // here, in slot order (side-effect free: kernels refuse rand).
-      TempScope ts(*this);
-      ke.slot_regs.reserve(k.scalars.size());
-      for (const LExpr* slot : k.scalars) {
-        ke.slot_regs.push_back(scalar_rvalue(*slot));
-      }
-      ke.k = std::move(k);
-      mod_.kernels.push_back(std::move(ke));
-      emit(Op::EwKern, dst, static_cast<uint32_t>(mod_.kernels.size() - 1),
-           cache_slot());
+    // The verifier rejects both shapes (E6008); unverified LIR traps here.
+    if (lower::tree_has_rand(*in.tree)) {
+      trap("element-wise loop draws rand");
       return;
     }
-    // Tree fallback: per-element evaluation (rand draws per element).
-    TreeEntry t;
-    bool bad = false;
-    t.root = flatten_tree(*in.tree, t, bad);
-    if (bad) return;
-    if (t.shape_mreg < 0) {
+    if (!in.tree->has_matrix_leaf()) {
       trap("element-wise loop without matrix operand");
       return;
     }
-    mod_.trees.push_back(std::move(t));
-    emit(Op::EwTree, dst, static_cast<uint32_t>(mod_.trees.size() - 1));
+    KernelEntry ke;
+    ke.k = driver::compile_kernel(*in.tree);
+    ke.mat_regs.reserve(ke.k.mats.size());
+    for (const std::string& name : ke.k.mats) {
+      uint32_t m = mreg_of(name);
+      if (m == kNoReg) {
+        trap("undefined matrix '" + name + "'");
+        return;
+      }
+      ke.mat_regs.push_back(m);
+    }
+    // Scalar slots become registers computed by the instructions emitted
+    // here, in slot order (side-effect free: the tree is rand-free).
+    TempScope ts(*this);
+    ke.slot_regs.reserve(ke.k.scalars.size());
+    for (const LExpr* slot : ke.k.scalars) {
+      ke.slot_regs.push_back(scalar_rvalue(*slot));
+    }
+    mod_.kernels.push_back(std::move(ke));
+    emit(Op::EwKern, dst, static_cast<uint32_t>(mod_.kernels.size() - 1),
+         cache_slot());
   }
 
   // -- statements --------------------------------------------------------------
@@ -966,7 +901,6 @@ const char* op_name(Op op) {
     case Op::FromLit: return "fromlit";
     case Op::CopyM: return "copym";
     case Op::EwKern: return "ewkern";
-    case Op::EwTree: return "ewtree";
     case Op::Guard: return "guard";
     case Op::DisplayV: return "display";
     case Op::DispV: return "disp";
@@ -1118,10 +1052,6 @@ void dump_chunk(std::string& out, const BcModule& m, const BcChunk& ch) {
         out += "] cache=" + std::to_string(in.c);
         break;
       }
-      case Op::EwTree:
-        mm(in.a);
-        out += " nodes=" + std::to_string(m.trees[in.b].nodes.size());
-        break;
       case Op::Guard:
         mm(in.a);
         out += " \"" + m.strings[in.b] + "\" cache=" + std::to_string(in.c);

@@ -6,9 +6,9 @@
 // name lookups survive into the run), a deduplicated constant pool,
 // resolved jump targets for all structured control flow, and per-site
 // inline-cache slots for the checks that are shape-stable in steady state
-// (ShapeGuard, element-index mapping, element-wise alignment). The postfix
-// kernels of driver/kernel.hpp ride along as bytecode superinstructions
-// (EwKern).
+// (ShapeGuard, element-index mapping, element-wise alignment). Every
+// Elemwise statement becomes one EwKern superinstruction running a
+// driver::Kernel, the blocked element-wise evaluator of driver/kernel.hpp.
 //
 // A BcModule borrows the LProgram it was compiled from (kernel scalar
 // slots point into the LIR, exactly like driver::Kernel); keep the program
@@ -29,7 +29,7 @@ namespace otter::vm {
 
 /// Dense opcodes. Operand conventions in the comments: s[x] = scalar
 /// register, m[x] = matrix register, K[x] = constant pool, S[x] = string
-/// pool, A[x] = aux pool, k[x] = kernel pool, t[x] = tree pool.
+/// pool, A[x] = aux pool, k[x] = kernel pool.
 enum class Op : uint8_t {
   // -- scalar register ops (cannot throw) ------------------------------------
   LdImm,    ///< s[a] = K[b]
@@ -80,7 +80,6 @@ enum class Op : uint8_t {
   FromLit,  ///< m[a] = literal; A[b] = element sregs, c = rows, d = cols
   CopyM,    ///< m[a] = m[b] (deep copy)
   EwKern,   ///< m[a] = kernel k[b] superinstruction; c = cache slot
-  EwTree,   ///< m[a] = per-element tree t[b] (rand-bearing fallback)
   Guard,    ///< ShapeGuard on m[a]; b = builtin name S[], c = cache slot
   // -- output ------------------------------------------------------------------
   DisplayV, ///< "name =\n…": a = S[name]; flag ? matrix m[b] : scalar s[b]
@@ -110,24 +109,6 @@ struct KernelEntry {
   driver::Kernel k;
   std::vector<uint32_t> mat_regs;   ///< kernel matrix slot -> mreg
   std::vector<uint32_t> slot_regs;  ///< kernel scalar slot -> sreg
-};
-
-/// Register-resolved copy of an element-wise tree that could not be
-/// kernelized (it draws rand per element). Nodes are indices into `nodes`.
-struct RNode {
-  lower::LExpr::Kind kind = lower::LExpr::Kind::Imm;
-  double imm = 0.0;
-  rt::EwBin bop = rt::EwBin::Add;
-  rt::EwUn uop = rt::EwUn::Neg;
-  int32_t a = -1, b = -1;
-  uint32_t reg = 0;   ///< sreg (ScalarVar) or mreg (MatVar / shape queries)
-  uint32_t name = 0;  ///< string pool id of the variable (error messages)
-};
-
-struct TreeEntry {
-  std::vector<RNode> nodes;
-  int32_t root = -1;
-  int32_t shape_mreg = -1;  ///< pre-order first matrix leaf (output shape)
 };
 
 /// One compiled scope (the script or one function body).
@@ -177,7 +158,6 @@ struct BcModule {
   std::vector<std::string> strings;
   std::vector<uint32_t> aux;
   std::vector<KernelEntry> kernels;
-  std::vector<TreeEntry> trees;
   std::vector<StmtInfo> stmts;
   uint32_t cache_slots = 0;
   const lower::LProgram* origin = nullptr;  ///< borrowed; must outlive module

@@ -260,57 +260,33 @@ class Vm {
 
   void ew_kernel(RFrame& f, const BcInstr& in) {
     const KernelEntry& ke = mod_.kernels[in.b];
-    const driver::Kernel& k = ke.k;
     uint64_t key = f.ver[in.a];
     for (uint32_t r : ke.mat_regs) key = std::max(key, f.ver[r]);
     ICache& ic = caches_[in.c];
-    size_t n;
-    bool in_place;
+    const DMat& proto = f.m[ke.mat_regs[0]];
+    if (!ic_hit(ic, key)) {
+      // Shapes and the in-place decision are validated once per version
+      // set; a hit only re-binds the (possibly moved) local buffers.
+      for (uint32_t r : ke.mat_regs) rt::require_aligned(proto, f.m[r]);
+      ic.n = proto.local_elements();
+      ic.in_place = f.m[in.a].aligned_with(proto) ? 1 : 0;
+    }
     kmat_ptrs_.resize(ke.mat_regs.size());
-    if (ic_hit(ic, key)) {
-      // Shapes and the in-place decision were validated at this version
-      // set; only the (possibly moved) local buffer pointers re-bind.
-      n = ic.n;
-      in_place = ic.in_place != 0;
-      for (size_t i = 0; i < ke.mat_regs.size(); ++i) {
-        kmat_ptrs_[i] = f.m[ke.mat_regs[i]].local().data();
-      }
-    } else {
-      const DMat& proto = f.m[ke.mat_regs[0]];
-      n = proto.local_elements();
-      size_t bad_slot = ke.mat_regs.size();
-      size_t bad_n = n;
-      for (size_t i = 0; i < ke.mat_regs.size(); ++i) {
-        const DMat& m = f.m[ke.mat_regs[i]];
-        if (m.local_elements() < bad_n) {  // strict <: earliest slot wins
-          bad_n = m.local_elements();
-          bad_slot = i;
-        }
-        kmat_ptrs_[i] = m.local().data();
-      }
-      if (n > 0 && bad_slot < ke.mat_regs.size()) {
-        fail("element-wise operand '" + k.mats[bad_slot] + "' misaligned");
-      }
-      in_place = f.m[in.a].aligned_with(proto);
-      ic.n = n;
-      ic.in_place = in_place ? 1 : 0;
+    for (size_t i = 0; i < ke.mat_regs.size(); ++i) {
+      kmat_ptrs_[i] = f.m[ke.mat_regs[i]].local().data();
     }
     kscalar_vals_.resize(ke.slot_regs.size());
     for (size_t i = 0; i < ke.slot_regs.size(); ++i) {
       kscalar_vals_[i] = f.s[ke.slot_regs[i]];
     }
-    kstack_.resize(k.max_stack);
-    if (in_place) {
-      auto ov = f.m[in.a].local();
-      k.run(ov.data(), kmat_ptrs_.data(), kscalar_vals_.data(),
-            kstack_.data(), n);
+    if (ic.in_place != 0) {
+      ke.k.run(f.m[in.a].local().data(), kmat_ptrs_.data(),
+               kscalar_vals_.data(), kwork_, ic.n);
       return;  // shape and layout unchanged: version stays, cache stays warm
     }
-    const DMat& proto = f.m[ke.mat_regs[0]];
     DMat out(comm_, proto.rows(), proto.cols(), proto.layout().dist());
-    auto ov = out.local();
-    k.run(ov.data(), kmat_ptrs_.data(), kscalar_vals_.data(), kstack_.data(),
-          n);
+    ke.k.run(out.local().data(), kmat_ptrs_.data(), kscalar_vals_.data(),
+             kwork_, ic.n);
     setm(f, in.a, std::move(out));
     // The setm just made the destination's version the globally newest, so
     // next execution's key (max over dst + inputs) collapses to exactly it
@@ -319,53 +295,6 @@ class Vm {
     // site's own write would invalidate it every iteration. The cached
     // shape stays valid: this site just produced a proto-shaped result.
     ic.key = f.ver[in.a];
-  }
-
-  double eval_rnode(const TreeEntry& t, int32_t idx, RFrame& f, size_t l) {
-    const RNode& n = t.nodes[idx];
-    switch (n.kind) {
-      case lower::LExpr::Kind::Imm:
-        return n.imm;
-      case lower::LExpr::Kind::ScalarVar:
-        return f.s[n.reg];
-      case lower::LExpr::Kind::MatVar: {
-        const DMat& m = f.m[n.reg];
-        if (l >= m.local_elements()) {
-          fail("element-wise operand '" + mod_.strings[n.name] +
-               "' misaligned");
-        }
-        return m.local()[l];
-      }
-      case lower::LExpr::Kind::Bin:
-        return rt::ew_apply_bin(n.bop, eval_rnode(t, n.a, f, l),
-                                eval_rnode(t, n.b, f, l));
-      case lower::LExpr::Kind::Un:
-        return rt::ew_apply_un(n.uop, eval_rnode(t, n.a, f, l));
-      case lower::LExpr::Kind::RowsOf:
-        return static_cast<double>(f.m[n.reg].rows());
-      case lower::LExpr::Kind::ColsOf:
-        return static_cast<double>(f.m[n.reg].cols());
-      case lower::LExpr::Kind::NumelOf:
-        return static_cast<double>(f.m[n.reg].numel());
-      case lower::LExpr::Kind::RandScalar:
-        return rand_draw();
-      case lower::LExpr::Kind::RankId:
-        return static_cast<double>(comm_.rank());
-      case lower::LExpr::Kind::NProcs:
-        return static_cast<double>(comm_.size());
-    }
-    return 0.0;
-  }
-
-  void ew_tree(RFrame& f, const BcInstr& in) {
-    const TreeEntry& t = mod_.trees[in.b];
-    const DMat& proto = f.m[static_cast<uint32_t>(t.shape_mreg)];
-    DMat out(comm_, proto.rows(), proto.cols(), proto.layout().dist());
-    auto ov = out.local();
-    for (size_t l = 0; l < ov.size(); ++l) {
-      ov[l] = eval_rnode(t, t.root, f, l);
-    }
-    setm(f, in.a, std::move(out));
   }
 
   /// Linear-index mapping for GetEl/SetEl, as in genrt's ML_get_linear: a
@@ -462,8 +391,7 @@ class Vm {
         &&L_ExtrRow, &&L_ExtrCol, &&L_AsgnRow,   &&L_AsgnCol, &&L_SliceV,
         &&L_AsgnSlice,&&L_FillZ,  &&L_FillO,     &&L_FillE,   &&L_FillRnd,
         &&L_FillRange,&&L_FillLin,&&L_LoadF,     &&L_FromLit, &&L_CopyM,
-        &&L_EwKern,  &&L_EwTree,  &&L_Guard,     &&L_DisplayV,&&L_DispV,
-        &&L_Fprintf,
+        &&L_EwKern,  &&L_Guard,   &&L_DisplayV,  &&L_DispV,   &&L_Fprintf,
     };
 #define OVM_CASE(name) L_##name:
 #define OVM_NEXT()                                     \
@@ -775,8 +703,6 @@ class Vm {
     OVM_NEXT();
     OVM_CASE(EwKern) { ew_kernel(f, *in); }
     OVM_NEXT();
-    OVM_CASE(EwTree) { ew_tree(f, *in); }
-    OVM_NEXT();
     OVM_CASE(Guard) {
       const DMat& m = f.m[in->a];
       ICache& ic = caches_[in->c];
@@ -850,11 +776,11 @@ class Vm {
   uint64_t misses_ = 0;
   uint64_t disabled_ = 0;
   uint64_t instrs_ = 0;
-  // Reusable per-statement scratch: kernel operand pointers, scalar slots,
-  // and the postfix value stack are allocated once per rank.
+  // Reusable per-statement buffers: kernel operand pointers, scalar slots,
+  // and the kernels' block workspace are allocated once per rank.
   std::vector<const double*> kmat_ptrs_;
   std::vector<double> kscalar_vals_;
-  std::vector<double> kstack_;
+  driver::KWork kwork_;
 };
 
 }  // namespace

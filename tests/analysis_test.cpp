@@ -681,6 +681,30 @@ TEST(VerifyLir, E6008RaggedLiteral) {
   EXPECT_TRUE(has_code(r, "E6008")) << codes_str(r);
 }
 
+// A block loop cannot keep the interpreter's per-element rand draw order,
+// so a rand leaf is malformed in an element-wise tree (lowering hoists it
+// into a scalar assignment) but fine in a scalar tree.
+TEST(VerifyLir, E6008RandLeafInElementwiseTree) {
+  auto rand_leaf = [] {
+    auto e = std::make_unique<lower::LExpr>();
+    e->kind = lower::LExpr::Kind::RandScalar;
+    return e;
+  };
+  LProgram p = base_program();
+  auto draw = std::make_unique<LInstr>(LOp::ScalarAssign, SourceLoc{1, 2, 1});
+  draw->sdst = "s";
+  draw->tree = rand_leaf();
+  p.script.push_back(std::move(draw));
+  EXPECT_EQ(verify(p).count, 0u) << codes_str(verify(p));
+
+  auto in = std::make_unique<LInstr>(LOp::Elemwise, SourceLoc{1, 3, 1});
+  in->dst = "c";
+  in->tree = lower::lbin(rt::EwBin::Add, lower::lmvar("a"), rand_leaf());
+  p.script.push_back(std::move(in));
+  auto r = verify(p);
+  EXPECT_TRUE(has_code(r, "E6008")) << codes_str(r);
+}
+
 TEST(VerifyLir, VerifierAcceptsEveryCompiledBenchmark) {
   const fs::path dir = OTTER_SCRIPTS_DIR;
   for (const char* name : {"cg.m", "nbody.m", "ocean.m", "transclos.m"}) {

@@ -170,5 +170,30 @@ fprintf('%g %g %g\n', -Inf, NaN, c(2, 1) - Inf);)";
   EXPECT_EQ(run_generated(src), driver::run_interpreter(src).output);
 }
 
+// Generated C checks element-wise alignment before its loop instead of
+// reading past the shorter buffer; the shapes are hidden from inference.
+TEST_P(CcE2e, UnalignedOperandsFailCoded) {
+  if (!CompiledProgram::toolchain_available()) {
+    GTEST_SKIP() << "no host C++ compiler available";
+  }
+  for (const char* src : {
+           "a = ones(5 + floor(rand * 0.5), 1);\n"
+           "b = ones(3 + floor(rand * 0.5), 1);\nc = a + b;\ndisp(c(1))\n",
+           "a = ones(3 + floor(rand * 0.5), 1);\n"
+           "b = ones(1 + floor(rand * 0.5), 1);\nc = a + b;\ndisp(c(1))\n",
+       }) {
+    SCOPED_TRACE(src);
+    try {
+      run_generated(src);
+      FAIL() << "unaligned operands did not fail";
+    } catch (const mpi::SpmdFailure& e) {
+      EXPECT_EQ(e.first().code, "E5001");
+      EXPECT_NE(e.first().what.find("element-wise op on unaligned operands"),
+                std::string::npos)
+          << e.first().what;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace otter::codegen
