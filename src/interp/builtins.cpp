@@ -28,6 +28,40 @@ Value map_real(const Value& v, SourceLoc loc, double (*f)(double)) {
   fail(loc, "expected a real argument, got " + type_name(v));
 }
 
+/// Element-wise real function of two arguments (mod, rem): a scalar on
+/// either side is broadcast; two matrices must have the same shape.
+Value map_real2(const Value& x, const Value& y, SourceLoc loc,
+                const char* name, double (*f)(double, double)) {
+  auto real_mat = [&](const Value& v) -> const Mat& {
+    if (v.mat()->is_complex) {
+      fail(loc, "expected a real argument, got " + type_name(v));
+    }
+    return *v.mat();
+  };
+  if (!x.is_matrix() && !y.is_matrix()) {
+    return Value(f(to_double(x, loc), to_double(y, loc)));
+  }
+  if (x.is_matrix() && y.is_matrix()) {
+    const Mat& a = real_mat(x);
+    const Mat& b = real_mat(y);
+    if (a.rows != b.rows || a.cols != b.cols) {
+      fail(loc, std::string("matrix dimensions must agree for '") + name +
+                    "'");
+    }
+    auto out = std::make_shared<Mat>(a.rows, a.cols);
+    for (size_t i = 0; i < a.numel(); ++i) out->re[i] = f(a.re[i], b.re[i]);
+    return Value(std::move(out));
+  }
+  const bool matrix_first = x.is_matrix();
+  const Mat& m = real_mat(matrix_first ? x : y);
+  const double s = to_double(matrix_first ? y : x, loc);
+  auto out = std::make_shared<Mat>(m.rows, m.cols);
+  for (size_t i = 0; i < m.numel(); ++i) {
+    out->re[i] = matrix_first ? f(m.re[i], s) : f(s, m.re[i]);
+  }
+  return Value(std::move(out));
+}
+
 Value map_complex(const Value& v, SourceLoc loc,
                   std::complex<double> (*cf)(const std::complex<double>&),
                   double (*rf)(double)) {
@@ -333,31 +367,11 @@ std::vector<Value> Interp::call_builtin(const BuiltinInfo& info,
       return {map_real(args[0], loc, [](double x) { return std::round(x); })};
     case Builtin::Sign:
       return {map_real(args[0], loc, dsign)};
-    case Builtin::Mod: {
-      // Element-wise with scalar broadcast via binary_op machinery.
-      if (args[0].is_real() && args[1].is_real()) {
-        return {Value(dmod(args[0].real_scalar(), args[1].real_scalar()))};
-      }
-      double y = to_double(args[1], loc);
-      if (!args[0].is_matrix()) fail(loc, "invalid arguments to mod");
-      const Mat& m = *args[0].mat();
-      auto out = std::make_shared<Mat>(m.rows, m.cols);
-      for (size_t i = 0; i < m.numel(); ++i) out->re[i] = dmod(m.re[i], y);
-      return {Value(std::move(out))};
-    }
-    case Builtin::Rem: {
-      if (args[0].is_real() && args[1].is_real()) {
-        return {Value(std::fmod(args[0].real_scalar(), args[1].real_scalar()))};
-      }
-      double y = to_double(args[1], loc);
-      if (!args[0].is_matrix()) fail(loc, "invalid arguments to rem");
-      const Mat& m = *args[0].mat();
-      auto out = std::make_shared<Mat>(m.rows, m.cols);
-      for (size_t i = 0; i < m.numel(); ++i) {
-        out->re[i] = std::fmod(m.re[i], y);
-      }
-      return {Value(std::move(out))};
-    }
+    case Builtin::Mod:
+      return {map_real2(args[0], args[1], loc, "mod", dmod)};
+    case Builtin::Rem:
+      return {map_real2(args[0], args[1], loc, "rem",
+                        [](double x, double y) { return std::fmod(x, y); })};
     case Builtin::Real:
       return {map_complex(args[0], loc,
                           [](const std::complex<double>& z) {

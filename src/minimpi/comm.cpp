@@ -7,6 +7,7 @@
 #include <sstream>
 #include <thread>
 
+#include <sys/resource.h>
 #include <time.h>
 
 namespace otter::mpi {
@@ -656,6 +657,16 @@ uint64_t RunResult::total_ops() const {
   return n;
 }
 
+namespace {
+
+uint64_t thread_minor_faults() {
+  rusage ru{};
+  getrusage(RUSAGE_THREAD, &ru);
+  return static_cast<uint64_t>(ru.ru_minflt);
+}
+
+}  // namespace
+
 RunResult run_spmd(const MachineProfile& profile, int nranks,
                    const std::function<void(Comm&)>& body,
                    const SpmdOptions& opts) {
@@ -668,13 +679,16 @@ RunResult run_spmd(const MachineProfile& profile, int nranks,
   std::vector<std::thread> threads;
   std::vector<std::exception_ptr> errors(static_cast<size_t>(nranks));
   std::vector<char> primary(static_cast<size_t>(nranks), 0);
+  std::vector<uint64_t> faults(static_cast<size_t>(nranks), 0);
   threads.reserve(static_cast<size_t>(nranks));
   for (int r = 0; r < nranks; ++r) {
     threads.emplace_back([&, r]() {
       size_t slot = static_cast<size_t>(r);
       Comm comm(net, r);
+      const uint64_t faults_before = thread_minor_faults();
       try {
         body(comm);
+        faults[slot] = thread_minor_faults() - faults_before;
         comm.finish();
       } catch (const AbortedError&) {
         // Torn down in sympathy with another rank's failure.
@@ -718,6 +732,7 @@ RunResult run_spmd(const MachineProfile& profile, int nranks,
   RunResult result;
   result.vtimes = net.final_vtimes;
   result.ops = net.final_ops;
+  result.minor_faults = std::move(faults);
   return result;
 }
 

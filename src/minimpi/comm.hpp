@@ -331,6 +331,9 @@ class Comm {
 struct RunResult {
   std::vector<double> vtimes;  // per-rank final virtual times
   std::vector<uint64_t> ops;   // per-rank completed communication ops
+  /// Per-rank minor page faults taken by the rank's thread over its body
+  /// (RUSAGE_THREAD ru_minflt delta).
+  std::vector<uint64_t> minor_faults;
   [[nodiscard]] double max_vtime() const;
   [[nodiscard]] uint64_t total_ops() const;
 };

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <optional>
 #include <sstream>
+#include <string_view>
 #include <unordered_set>
 
 #include "frontend/builtins.hpp"
@@ -457,6 +458,24 @@ class Inferencer {
     return a;
   }
 
+  /// Result shape of the element-wise operation `op`: a scalar operand is
+  /// broadcast, two matrices merge their known extents, and known extents
+  /// that disagree are E3107.
+  Ty elementwise_shape(BaseType t, const Ty& a, const Ty& b, SourceLoc loc,
+                       std::string_view op) {
+    if (a.is_scalar()) return shaped(t, b.rows, b.cols);
+    if (b.is_scalar()) return shaped(t, a.rows, a.cols);
+    long rr;
+    long rc;
+    bool mismatch = false;
+    merge_dims(a.rows, a.cols, b.rows, b.cols, &rr, &rc, &mismatch);
+    if (mismatch) {
+      report("E3107", loc,
+             "operand shapes disagree for '" + std::string(op) + "'");
+    }
+    return shaped(t, rr, rc);
+  }
+
   Ty infer_binary(const Expr& e) {
     Ty a = infer_expr(*e.lhs);
     Ty b = infer_expr(*e.rhs);
@@ -485,17 +504,8 @@ class Inferencer {
     };
     auto elementwise = [&](BaseType result_type) {
       if (a.is_scalar() && b.is_scalar()) return fold(result_type);
-      if (a.is_scalar()) return shaped(result_type, b.rows, b.cols);
-      if (b.is_scalar()) return shaped(result_type, a.rows, a.cols);
-      long rr;
-      long rc;
-      bool mismatch = false;
-      merge_dims(a.rows, a.cols, b.rows, b.cols, &rr, &rc, &mismatch);
-      if (mismatch) {
-        report("E3107", e.loc, std::string("operand shapes disagree for '") +
-                                   bin_op_name(e.bin_op) + "'");
-      }
-      return shaped(result_type, rr, rc);
+      return elementwise_shape(result_type, a, b, e.loc,
+                               bin_op_name(e.bin_op));
     };
 
     switch (e.bin_op) {
@@ -791,11 +801,9 @@ class Inferencer {
       case Builtin::Sign:
         return {shaped(BaseType::Integer, args[0].rows, args[0].cols)};
       case Builtin::Mod:
-      case Builtin::Rem: {
-        BaseType t = std::max(args[0].type, args[1].type);
-        const Ty& a = args[0];
-        return {shaped(t, a.rows, a.cols)};
-      }
+      case Builtin::Rem:
+        return {elementwise_shape(std::max(args[0].type, args[1].type),
+                                  args[0], args[1], e.loc, b->name)};
       case Builtin::Real:
       case Builtin::Imag:
         return {shaped(BaseType::Real, args[0].rows, args[0].cols)};

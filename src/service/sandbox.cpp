@@ -11,17 +11,7 @@
 #include <cmath>
 #include <cstring>
 
-// RLIMIT_AS is incompatible with sanitizer runtimes, which mmap huge
-// shadow/reservation regions before main(); applying it there makes every
-// child die at startup instead of at its budget.
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define OTTER_SANDBOX_SANITIZED 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
-    __has_feature(memory_sanitizer)
-#define OTTER_SANDBOX_SANITIZED 1
-#endif
-#endif
+#include "support/sanitizer.hpp"
 
 namespace otter::service {
 
@@ -53,7 +43,10 @@ void apply_limits(const SandboxLimits& limits) {
     rl.rlim_max = secs + 2;  // SIGXCPU first, hard SIGKILL shortly after
     ::setrlimit(RLIMIT_CPU, &rl);
   }
-#ifndef OTTER_SANDBOX_SANITIZED
+  // RLIMIT_AS is incompatible with sanitizer runtimes, which mmap huge
+  // shadow/reservation regions before main(); applying it there makes every
+  // child die at startup instead of at its budget.
+#ifndef OTTER_SANITIZED
   if (limits.mem_budget_bytes > 0) {
     // 4x the accounted budget plus fixed headroom: the governor only
     // charges matrix payloads, so the limit must leave room for code,

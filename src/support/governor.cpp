@@ -1,7 +1,12 @@
 #include "support/governor.hpp"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <cinttypes>
 #include <cstdio>
+
+#include "support/sanitizer.hpp"
 
 namespace otter::gov {
 
@@ -61,5 +66,55 @@ void ResourceGovernor::reset_window() {
               std::memory_order_relaxed);
   denials_.store(0, std::memory_order_relaxed);
 }
+
+#ifdef OTTER_SANITIZED
+
+void* allocate_large(std::size_t bytes) { return ::operator new(bytes); }
+
+void deallocate_large(void* p, std::size_t bytes) noexcept {
+  ::operator delete(p, bytes);
+}
+
+#else
+
+namespace {
+
+uintptr_t round_up(uintptr_t v, uintptr_t to) { return (v + to - 1) / to * to; }
+
+std::size_t mapped_length(std::size_t bytes) {
+  static const auto kPage = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  return round_up(bytes, kPage);
+}
+
+}  // namespace
+
+void* allocate_large(std::size_t bytes) {
+  // Over-map by one huge page, then trim both ends, so exactly `len` bytes
+  // stay mapped from a 2 MiB boundary.
+  const std::size_t len = mapped_length(bytes);
+  const std::size_t span = len + kLargePayloadBytes;
+  void* raw = ::mmap(nullptr, span, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (raw == MAP_FAILED) throw std::bad_alloc();
+  char* base = static_cast<char*>(raw);
+  const auto addr = reinterpret_cast<uintptr_t>(base);
+  char* p = base + (round_up(addr, kLargePayloadBytes) - addr);
+  if (p != base) ::munmap(base, static_cast<std::size_t>(p - base));
+  char* tail = p + len;
+  if (tail != base + span) {
+    ::munmap(tail, static_cast<std::size_t>(base + span - tail));
+  }
+  // Only whole extents: the partial tail stays on base pages and never
+  // costs a whole huge page of RSS. Where THP is off the advice fails or
+  // is ignored, and every page stays a base page.
+  ::madvise(p, len / kLargePayloadBytes * kLargePayloadBytes, MADV_HUGEPAGE);
+  return p;
+}
+
+void deallocate_large(void* p, std::size_t bytes) noexcept {
+  ::munmap(p, mapped_length(bytes));
+}
+
+#endif  // OTTER_SANITIZED
 
 }  // namespace otter::gov

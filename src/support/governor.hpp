@@ -113,9 +113,28 @@ class ScopedBudget {
   uint64_t prev_ = 0;
 };
 
+/// Payloads of at least this many bytes get their own mapping on 2 MiB
+/// transparent huge pages: the x86-64 PMD page size (DESIGN.md §17,
+/// "Large payloads").
+inline constexpr uint64_t kLargePayloadBytes = uint64_t{2} << 20;
+
+/// Allocates a payload of at least kLargePayloadBytes: a private anonymous
+/// mapping of `bytes` rounded up to whole pages, at a 2 MiB-aligned
+/// address, with its whole 2 MiB extents advised for huge pages. Sanitizer
+/// builds use plain operator new instead, so ASan keeps its redzones.
+/// Throws std::bad_alloc when the host allocation fails. Out of line, so
+/// the small-payload path stays short and the sanitizer choice is made
+/// once, in this library: generated C inlines Accounted without the
+/// library's sanitizer flags.
+void* allocate_large(std::size_t bytes);
+
+/// Releases an allocate_large(bytes) result.
+void deallocate_large(void* p, std::size_t bytes) noexcept;
+
 /// STL allocator that routes through the governor: charge before the host
 /// allocation, release on deallocation. The charge is refunded if the host
-/// allocator itself fails, so the ledger never drifts.
+/// allocation itself fails, so the ledger never drifts. Large payloads get
+/// their own huge-page mapping; the rest come from std::allocator.
 template <typename T>
 struct Accounted {
   using value_type = T;
@@ -128,6 +147,9 @@ struct Accounted {
     const uint64_t bytes = static_cast<uint64_t>(n) * sizeof(T);
     ResourceGovernor::instance().charge(bytes);
     try {
+      if (bytes >= kLargePayloadBytes) {
+        return static_cast<T*>(allocate_large(bytes));
+      }
       return std::allocator<T>().allocate(n);
     } catch (...) {
       ResourceGovernor::instance().release(bytes);
@@ -135,8 +157,13 @@ struct Accounted {
     }
   }
   void deallocate(T* p, std::size_t n) noexcept {
-    std::allocator<T>().deallocate(p, n);
-    ResourceGovernor::instance().release(static_cast<uint64_t>(n) * sizeof(T));
+    const uint64_t bytes = static_cast<uint64_t>(n) * sizeof(T);
+    if (bytes >= kLargePayloadBytes) {
+      deallocate_large(p, bytes);
+    } else {
+      std::allocator<T>().deallocate(p, n);
+    }
+    ResourceGovernor::instance().release(bytes);
   }
 
   template <typename U>

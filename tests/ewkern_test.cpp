@@ -125,23 +125,31 @@ TEST_P(EwKern, EveryOperatorMatchesInterpreterOnSpecialValues) {
   expect_matches_interpreter(src);
 }
 
-// The interpreter's mod and rem take scalars only, so the kernel's
-// mat-mat and mat-scalar forms are checked against its element loop.
+// mod and rem in every operand position: mat-mat, mat-scalar and
+// scalar-mat. The kernels must match the interpreter's scalar loop, and
+// the interpreter's own element-wise mod and rem.
 TEST_P(EwKern, ModAndRemMatchTheInterpretersScalarLoop) {
   std::string kernels = kSpecials;
   std::string loops = kSpecials;
+  auto add = [&](const std::string& f, const std::string& lhs,
+                 const std::string& rhs) {
+    kernels += "r = " + f + "(" + lhs + ", " + rhs +
+               ");\nfprintf('%.17g\\n', r);\n";
+    auto elem = [](const std::string& v) {
+      return v == "x" || v == "y" ? v + "(i)" : v;
+    };
+    loops += "for i = 1:10\n  fprintf('%.17g\\n', " + f + "(" + elem(lhs) +
+             ", " + elem(rhs) + "));\nend\n";
+  };
   for (const char* fn : {"mod", "rem"}) {
-    for (const std::string& rhs : {std::string("y"), std::string("s"),
-                                   std::string("t"), std::string("u"),
-                                   std::string("2")}) {
-      std::string f = fn;
-      kernels += "r = " + f + "(x, " + rhs + ");\nfprintf('%.17g\\n', r);\n";
-      std::string elem = rhs == "y" ? "y(i)" : rhs;
-      loops += "for i = 1:10\n  fprintf('%.17g\\n', " + f + "(x(i), " +
-               elem + "));\nend\n";
+    add(fn, "x", "y");
+    for (const std::string& sc : kScalars) {
+      add(fn, "x", sc);
+      add(fn, sc, "x");
     }
   }
   EXPECT_EQ(run_vm(kernels), driver::run_interpreter(loops).output);
+  expect_matches_interpreter(kernels);
 }
 
 // Local lengths on each rank straddle the block size: empty, one element,

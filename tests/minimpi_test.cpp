@@ -4,6 +4,8 @@
 
 #include <numeric>
 
+#include "rtlib/dmatrix.hpp"
+
 namespace otter::mpi {
 namespace {
 
@@ -333,6 +335,18 @@ TEST(MiniMpi, VirtualTimesAreDeterministic) {
     }).vtimes;
   };
   EXPECT_EQ(once(), once());
+}
+
+// A fresh 32 MiB payload is first touched inside the body, so its page
+// faults land in the rank's count whatever page size backs it.
+TEST(MiniMpi, MinorFaultsAreCountedPerRank) {
+  for (int np : {1, 3}) {
+    RunResult r = run_spmd(ideal(), np, [](Comm& c) {
+      if (c.rank() == 0) rt::DMat big(c, 2048, 2048);
+    });
+    ASSERT_EQ(r.minor_faults.size(), static_cast<size_t>(np));
+    EXPECT_GT(r.minor_faults[0], 0u);
+  }
 }
 
 TEST(MiniMpi, ExceptionInRankPropagates) {

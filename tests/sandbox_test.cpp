@@ -3,21 +3,27 @@
 // and in every case the Service keeps answering with the right stable
 // E-code while the breaker/supervisor counters advance. Also covers the
 // resource governor surface: per-request budgets (E5006), dimension
-// validation (E5007), and the governor/sandbox stats plumbing.
+// validation (E5007), large payloads on huge-page mappings, and the
+// governor/sandbox stats plumbing.
 //
 // Note on death modes under sanitizers: ASan intercepts SIGSEGV and turns
 // it into a nonzero _exit after printing a report, so assertions here pin
 // the E0014 classification, never the "signal 11" message text.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <cmath>
+#include <fstream>
 #include <string>
 
 #include "driver/pipeline.hpp"
 #include "interp/value.hpp"
+#include "rtlib/dmatrix.hpp"
 #include "service/sandbox.hpp"
 #include "service/server.hpp"
 #include "support/governor.hpp"
 #include "support/json.hpp"
+#include "support/sanitizer.hpp"
 
 namespace json = otter::json;
 using otter::service::IsolateMode;
@@ -272,6 +278,84 @@ TEST(Governor, InterpreterBudgetDenialIsE5006) {
   } catch (const otter::interp::InterpError& e) {
     EXPECT_EQ(e.code(), "E5006");
   }
+}
+
+// ---- governor: large payloads on their own huge-page mappings ---------------
+
+// Sizes on both sides of the 2 MiB mapping threshold, one with a partial
+// 4 KiB page, and a whole 2048x2048 matrix.
+TEST(Governor, LargePayloadsStartAtPositiveZeroAfterADirtyOneIsFreed) {
+  auto& g = otter::gov::ResourceGovernor::instance();
+  for (size_t bytes : {(size_t{2} << 20) - 8, size_t{2} << 20,
+                       (size_t{2} << 20) + 8, (size_t{3} << 20) + 24,
+                       size_t{32} << 20}) {
+    SCOPED_TRACE(bytes);
+    const size_t n = bytes / sizeof(double);
+    const uint64_t baseline = g.stats().used;
+    {
+      otter::gov::DoubleBuffer dirty(n, -0.0);
+      dirty.back() = 1.5;
+      EXPECT_EQ(g.stats().used, baseline + bytes);
+    }
+    EXPECT_EQ(g.stats().used, baseline);
+    {
+      otter::gov::DoubleBuffer fresh(n);
+      size_t nonzero = 0;
+      for (double v : fresh) nonzero += v != 0.0 || std::signbit(v);
+      EXPECT_EQ(nonzero, 0u);
+      EXPECT_EQ(g.stats().used, baseline + bytes);
+    }
+    EXPECT_EQ(g.stats().used, baseline);
+  }
+}
+
+TEST(Governor, BudgetBelowALargePayloadThrowsAndChargesNothing) {
+  auto& g = otter::gov::ResourceGovernor::instance();
+  const uint64_t baseline = g.stats().used;
+  otter::gov::ScopedBudget budget(baseline + (size_t{16} << 20));
+  EXPECT_THROW(otter::gov::DoubleBuffer((size_t{32} << 20) / sizeof(double)),
+               otter::gov::BudgetExceeded);
+  EXPECT_EQ(g.stats().used, baseline);
+}
+
+// No address space holds a 1 PiB mapping, so the host allocation fails
+// after the charge and the charge must be refunded.
+TEST(Governor, FailedHostAllocationRefundsTheCharge) {
+#ifdef OTTER_SANITIZED
+  GTEST_SKIP() << "sanitizer build: the sanitizer allocator aborts on "
+                  "oversized requests instead of throwing";
+#endif
+  auto& g = otter::gov::ResourceGovernor::instance();
+  const uint64_t baseline = g.stats().used;
+  EXPECT_THROW(otter::gov::Accounted<double>().allocate(size_t{1} << 47),
+               std::bad_alloc);
+  EXPECT_EQ(g.stats().used, baseline);
+}
+
+// A fresh 2048x2048 rand matrix faults in 2 MiB at a time: 16 huge-page
+// faults plus a few for the rest of the call. On 4 KiB pages it takes
+// 8,193.
+TEST(Governor, FreshLargeMatrixFaultsInHugePages) {
+  std::ifstream thp("/sys/kernel/mm/transparent_hugepage/enabled");
+  std::string modes;
+  std::getline(thp, modes);
+  if (modes.empty() || modes.find("[never]") != std::string::npos) {
+    GTEST_SKIP() << "transparent huge pages are unavailable or disabled";
+  }
+#ifdef OTTER_SANITIZED
+  GTEST_SKIP() << "sanitizer build: payloads stay on operator new";
+#endif
+  long faults = -1;
+  otter::mpi::run_spmd(otter::mpi::ideal(1), 1, [&](otter::mpi::Comm& c) {
+    rusage before{};
+    rusage after{};
+    getrusage(RUSAGE_THREAD, &before);
+    otter::rt::DMat m = otter::rt::fill_rand(c, 2048, 2048, 1, 0);
+    getrusage(RUSAGE_THREAD, &after);
+    faults = after.ru_minflt - before.ru_minflt;
+  });
+  EXPECT_GE(faults, 0);
+  EXPECT_LT(faults, 1024);
 }
 
 // ---- dimension validation (E5007) -------------------------------------------

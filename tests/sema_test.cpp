@@ -325,6 +325,21 @@ TEST(Infer, ComparisonYieldsInteger) {
   EXPECT_EQ(var_class(*c, "m").rank, RankKind::Matrix);
 }
 
+TEST(Infer, ModAndRemTakeTheShapeOfEitherOperand) {
+  auto c = analyze(
+      "x = zeros(5, 1); y = zeros(5, 1);\n"
+      "a = rem(-2.5, x); b = mod(x, 3); c = mod(x, y); d = rem(2, 3);");
+  for (const char* v : {"a", "b", "c"}) {
+    Ty t = var_class(*c, v);
+    EXPECT_EQ(t.rank, RankKind::Matrix) << v;
+    EXPECT_EQ(t.rows, 5) << v;
+    EXPECT_EQ(t.cols, 1) << v;
+  }
+  EXPECT_EQ(var_class(*c, "d").rank, RankKind::Scalar);
+  auto bad = analyze("x = zeros(5, 1); y = zeros(1, 5); z = mod(x, y);");
+  EXPECT_FALSE(bad->ok);
+}
+
 TEST(Infer, ShapeMismatchDiagnosed) {
   auto c = analyze("a = zeros(2, 3); b = zeros(3, 2); c = a + b;");
   EXPECT_FALSE(c->ok);

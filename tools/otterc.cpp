@@ -14,7 +14,8 @@
 //   --dist=block|cyclic    data-distribution strategy (default block)
 //   --no-peephole          disable the peephole pass (paper pass 6)
 //   --seed=N               seed for rand (default 1)
-//   --times                print per-rank virtual times after the run
+//   --times                print per-rank virtual times and minor page
+//                          faults after the run
 //   --fault-plan=SPEC      deterministic fault injection, e.g.
 //                          "seed=42,drop=0.1,crash=2@7" (see minimpi/fault.hpp)
 //   --timeout=SECS         watchdog deadline for a blocked rank (default 30)
@@ -248,6 +249,15 @@ bool parse_args(int argc, char** argv, Options& o) try {
 std::string dirname_of(const std::string& path) {
   size_t slash = path.find_last_of('/');
   return slash == std::string::npos ? std::string(".") : path.substr(0, slash);
+}
+
+/// The --times report: each rank's virtual time and the minor page faults
+/// its thread took.
+void print_rank_times(const otter::mpi::RunResult& times) {
+  for (size_t r = 0; r < times.vtimes.size(); ++r) {
+    std::cerr << "rank " << r << " vtime " << times.vtimes[r] << "s, "
+              << times.minor_faults[r] << " minor faults\n";
+  }
 }
 
 /// Structured per-rank failure report for a failed SPMD run.
@@ -564,11 +574,7 @@ int main(int argc, char** argv) {
           [&](otter::mpi::Comm& comm) { program->run(comm, out, eopts); },
           eopts.spmd);
       std::cout << out.str();
-      if (opt.times) {
-        for (size_t r = 0; r < times.vtimes.size(); ++r) {
-          std::cerr << "rank " << r << " vtime " << times.vtimes[r] << "s\n";
-        }
-      }
+      if (opt.times) print_rank_times(times);
       return kExitOk;
     }
 
@@ -602,10 +608,7 @@ int main(int argc, char** argv) {
             std::cerr << ", resumed at statement " << rr.run.resumed_statement;
           std::cerr << '\n';
         }
-        for (size_t r = 0; r < rr.run.times.vtimes.size(); ++r) {
-          std::cerr << "rank " << r << " vtime " << rr.run.times.vtimes[r]
-                    << "s\n";
-        }
+        print_rank_times(rr.run.times);
       }
       return kExitOk;
     }
@@ -621,9 +624,7 @@ int main(int argc, char** argv) {
           std::cerr << ", resumed at statement " << run.resumed_statement;
         std::cerr << '\n';
       }
-      for (size_t r = 0; r < run.times.vtimes.size(); ++r) {
-        std::cerr << "rank " << r << " vtime " << run.times.vtimes[r] << "s\n";
-      }
+      print_rank_times(run.times);
     }
     return kExitOk;
   } catch (const otter::rt::RtError& e) {
