@@ -1,13 +1,16 @@
 // Micro-benchmarks for the LIR optimizer and the compiled element-wise
 // kernels.
 //
-// Two exhibits, both recorded in the JSON report:
+// Three exhibits, all recorded in the JSON report:
 //   * micro_elemwise — wall-clock seconds of an element-wise-heavy script on
 //     the VM at p=1: the unfused -O0 LIR vs the fused -O2 LIR. Fusion is
 //     meant to make -O2 the faster of the two.
 //   * micro_licm — total communication ops of a loop whose body re-reads
 //     loop-invariant m(i,j) / sum(v) values every iteration: -O0 keeps the
 //     per-iteration broadcasts and reductions, -O2 hoists them out.
+//   * micro_coalesce — total communication ops of an nbody-shaped loop that
+//     takes the means of two vectors it updates every iteration: -O0 makes
+//     one allreduce per mean, -O2 one per pair.
 #include <chrono>
 
 #include "figure_common.hpp"
@@ -42,6 +45,19 @@ for it = 1:iters
   s = s + pivot + total + it;
 end
 fprintf('licm checksum %.6f\n', s);
+)";
+
+const char* kCoalesceScript = R"(n = 4096;
+iters = 100;
+x = rand(n, 1);
+y = rand(n, 1);
+for it = 1:iters
+  cx = mean(x);
+  cy = mean(y);
+  x = x + 0.001 * (cx - x);
+  y = y + 0.001 * (cy - y);
+end
+fprintf('coalesce checksum %.6f %.6f\n', mean(x), mean(y));
 )";
 
 struct Measured {
@@ -95,24 +111,36 @@ int main(int argc, char** argv) {
   std::printf("  -O2 fused          %10.4f s\n", optimized);
   std::printf("  speedup            %10.2fx\n\n", baseline / optimized);
 
-  // Exhibit 2: communication ops of a LICM-friendly loop.
-  for (int np : {2, 4}) {
-    Measured before = run_level(kLicmScript, 0, np);
-    Measured after = run_level(kLicmScript, 2, np);
-    bench_records().push_back({"micro_licm", "ideal", np, 64,
-                               before.wall_seconds, before.comm_ops,
-                               "executor-O0"});
-    bench_records().push_back({"micro_licm", "ideal", np, 64,
-                               after.wall_seconds, after.comm_ops,
-                               "executor-O2"});
-    std::printf("LICM loop, p=%d (total comm ops):\n", np);
-    std::printf("  -O0  %10llu ops\n",
-                static_cast<unsigned long long>(before.comm_ops));
-    std::printf("  -O2  %10llu ops  (%.1f%% of -O0)\n\n",
-                static_cast<unsigned long long>(after.comm_ops),
-                100.0 * static_cast<double>(after.comm_ops) /
-                    static_cast<double>(before.comm_ops ? before.comm_ops
-                                                        : 1));
+  // Exhibits 2 and 3: communication ops of a LICM-friendly loop and of an
+  // nbody-shaped loop whose reductions coalesce.
+  const struct {
+    const char* bench;
+    const char* title;
+    const char* script;
+    long size;
+  } kCommExhibits[] = {
+      {"micro_licm", "LICM loop", kLicmScript, 64},
+      {"micro_coalesce", "coalescing loop", kCoalesceScript, 4096},
+  };
+  for (const auto& ex : kCommExhibits) {
+    for (int np : {2, 4}) {
+      Measured before = run_level(ex.script, 0, np);
+      Measured after = run_level(ex.script, 2, np);
+      bench_records().push_back({ex.bench, "ideal", np, ex.size,
+                                 before.wall_seconds, before.comm_ops,
+                                 "executor-O0"});
+      bench_records().push_back({ex.bench, "ideal", np, ex.size,
+                                 after.wall_seconds, after.comm_ops,
+                                 "executor-O2"});
+      std::printf("%s, p=%d (total comm ops):\n", ex.title, np);
+      std::printf("  -O0  %10llu ops\n",
+                  static_cast<unsigned long long>(before.comm_ops));
+      std::printf("  -O2  %10llu ops  (%.1f%% of -O0)\n\n",
+                  static_cast<unsigned long long>(after.comm_ops),
+                  100.0 * static_cast<double>(after.comm_ops) /
+                      static_cast<double>(before.comm_ops ? before.comm_ops
+                                                          : 1));
+    }
   }
 
   write_bench_json();

@@ -231,6 +231,9 @@ class Verifier {
         want_sdst(in);
         if (want_arity(in, 1)) want_mat(in, 0, defined);
         break;
+      case LOp::ReduceGroup:
+        verify_group(in, defined);
+        break;
       case LOp::Colwise:
         want_dst(in, defined);
         if (want_arity(in, 1)) want_mat(in, 0, defined);
@@ -487,6 +490,41 @@ class Verifier {
     } else {
       err("E6004", in, "operand " + std::to_string(i) + " is empty");
     }
+  }
+
+  /// A coalesced reduction group: two or more members of one class, each a
+  /// matrix operand reduced into its own scalar destination.
+  void verify_group(const LInstr& in,
+                    const std::unordered_set<std::string>& defined) {
+    size_t k = in.args.size();
+    if (in.call_dsts.size() != k || in.reds.size() != k) {
+      err("E6010", in, "reduction group has " + std::to_string(k) +
+                           " operand(s), " +
+                           std::to_string(in.call_dsts.size()) +
+                           " destination(s) and " +
+                           std::to_string(in.reds.size()) + " kind(s)");
+      return;
+    }
+    if (k < 2) {
+      err("E6010", in, "reduction group has fewer than two members");
+    }
+    bool mixed = false;
+    std::unordered_set<std::string> dsts;
+    for (size_t i = 0; i < k; ++i) {
+      mixed |= rt::reduce_class(in.reds[i]) != rt::reduce_class(in.reds[0]);
+      if (!in.args[i].is_matrix) {
+        err("E6010", in, "reduction group member " + std::to_string(i) +
+                             " does not reduce a matrix variable");
+      } else {
+        check_ref(in, in.args[i].mat, true, defined, "matrix operand");
+      }
+      const LVarDecl& d = in.call_dsts[i];
+      if (!dsts.insert(d.name).second) {
+        err("E6010", in, "reduction group writes '" + d.name + "' twice");
+      }
+      check_dst_decl(in, d.name, false);
+    }
+    if (mixed) err("E6010", in, "reduction group mixes reduction classes");
   }
 
   void verify_call(const LInstr& in,

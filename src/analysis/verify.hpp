@@ -18,6 +18,8 @@
 //          ragged matrix literals)
 //   E6009  shape guard deleted without a matching abstract-interpretation
 //          proof (optimizer and analyzer disagree about a guard)
+//   E6010  malformed reduction group (fewer than two members, mixed
+//          reduction classes, a non-matrix operand, a repeated destination)
 #pragma once
 
 #include "lower/lir.hpp"

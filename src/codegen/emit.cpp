@@ -241,6 +241,27 @@ class Emitter {
         line(in.sdst + " = rt::" + fn + "(ctx.comm, " + sop(in.args[0]) + ");");
         return;
       }
+      case LOp::ReduceGroup: {
+        // One k-element allreduce: the members' kinds and operands go in as
+        // an array of terms, the results come back in member order.
+        static const char* const kKinds[] = {"Sum", "Mean", "Min", "Max",
+                                             "Prod"};
+        std::ostringstream terms;
+        for (size_t i = 0; i < in.args.size(); ++i) {
+          if (i) terms << ", ";
+          terms << "{rt::RedKind::" << kKinds[static_cast<int>(in.reds[i])]
+                << ", &" << in.args[i].mat << "}";
+        }
+        open("{");
+        line("const rt::ReduceTerm ML_terms[] = {" + terms.str() + "};");
+        line("double ML_red[" + std::to_string(in.args.size()) + "];");
+        line("rt::reduce_group(ctx.comm, ML_terms, ML_red);");
+        for (size_t i = 0; i < in.call_dsts.size(); ++i) {
+          line(in.call_dsts[i].name + " = ML_red[" + std::to_string(i) + "];");
+        }
+        close();
+        return;
+      }
       case LOp::Colwise: {
         std::string call;
         switch (in.red) {

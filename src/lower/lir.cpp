@@ -185,6 +185,21 @@ void dump_instr(const LInstr& in, std::ostream& os, int indent) {
       dump_operand(in.args[0], os);
       os << ')';
       break;
+    case LOp::ReduceGroup:
+      os << '[';
+      for (size_t i = 0; i < in.call_dsts.size(); ++i) {
+        if (i) os << ", ";
+        os << in.call_dsts[i].name;
+      }
+      os << "] = ML_reduce_group(";
+      for (size_t i = 0; i < in.args.size(); ++i) {
+        if (i) os << ", ";
+        os << (i < in.reds.size() ? red_name(in.reds[i]) : "?") << '(';
+        dump_operand(in.args[i], os);
+        os << ')';
+      }
+      os << ')';
+      break;
     case LOp::Colwise:
       os << in.dst << " = ML_colwise_" << red_name(in.red) << '(';
       dump_operand(in.args[0], os);
@@ -321,6 +336,7 @@ const char* lop_name(LOp op) {
     case LOp::TransposeOp: return "transpose";
     case LOp::DotProd: return "dot";
     case LOp::Reduce: return "reduce";
+    case LOp::ReduceGroup: return "reduce-group";
     case LOp::Colwise: return "colwise";
     case LOp::Norm: return "norm";
     case LOp::Trapz: return "trapz";

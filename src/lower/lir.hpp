@@ -26,6 +26,7 @@ namespace otter::lower {
 
 using rt::EwBin;
 using rt::EwUn;
+using rt::RedKind;
 
 // -- expression trees -----------------------------------------------------------
 
@@ -86,6 +87,7 @@ enum class LOp {
   TransposeOp,   // dst = ML_transpose(a)
   DotProd,       // sdst = ML_dot(a, b)              (peephole result)
   Reduce,        // sdst = ML_reduce_{sum,min,max,prod,mean}(a)
+  ReduceGroup,   // [d1, …] = ML_reduce_group(a1, …)  (coalescing result)
   Colwise,       // dst = ML_colwise_{sum,mean,min,max}(a)
   Norm,          // sdst = ML_norm(a)
   Trapz,         // sdst = ML_trapz(a) / ML_trapz_xy(a, b)
@@ -117,9 +119,6 @@ enum class LOp {
   // Structured control flow.
   IfOp, WhileOp, ForOp, BreakOp, ContinueOp, ReturnOp,
 };
-
-/// Which reduction/colwise flavour a Reduce/Colwise instruction performs.
-enum class RedKind : uint8_t { Sum, Mean, Min, Max, Prod };
 
 /// One operand: either a matrix variable name or a scalar expression tree.
 struct LOperand {
@@ -154,7 +153,9 @@ struct LInstr {
   bool linear = false;         // GetElem/SetElem with one (linear) index
   // CallFn.
   std::string callee;
-  std::vector<LVarDecl> call_dsts;
+  std::vector<LVarDecl> call_dsts;   // also ReduceGroup's destinations
+  // ReduceGroup: member i reduces args[i] into call_dsts[i] by reds[i].
+  std::vector<RedKind> reds;
   // FromLiteral: rows of scalar trees.
   std::vector<std::vector<LExprPtr>> literal_rows;
   // Elemwise: the fused per-element tree.

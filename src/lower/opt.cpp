@@ -762,6 +762,79 @@ size_t sweep_scope(std::vector<LInstrPtr>& body, const Set& protect) {
   return removed;
 }
 
+// -- reduction coalescing -----------------------------------------------------
+
+/// Merges each run of independent same-class Reduce statements into one
+/// ReduceGroup, a single k-element allreduce (the paper's pass 6 applied to
+/// collectives). A later Reduce joins the group of an earlier one in the
+/// same body when only ScalarAssigns (or earlier members) stand between
+/// them, none of those reads or writes its destination, and the
+/// destinations differ. The group takes the first member's place, because
+/// the statements in between may read that result; anything else in
+/// between ends the run. Runs last: no other pass sees a group.
+class Coalescer {
+ public:
+  explicit Coalescer(OptReport& rep) : rep_(rep) {}
+
+  void run(std::vector<LInstrPtr>& body) { walk(body); }
+
+ private:
+  static bool groupable(const LInstr& in) {
+    return in.op == LOp::Reduce && in.args.size() == 1 &&
+           in.args[0].is_matrix && !in.sdst.empty();
+  }
+
+  void walk(std::vector<LInstrPtr>& body) {
+    for (LInstrPtr& ip : body) {
+      for (LIfArm& arm : ip->arms) walk(arm.body);
+      walk(ip->body);
+    }
+    for (size_t i = 0; i < body.size(); ++i) {
+      if (groupable(*body[i])) i = merge_run(body, i);
+    }
+  }
+
+  /// Groups the run starting at body[first]; returns the index of the
+  /// last statement the run covered, so the scan resumes at what ended it.
+  size_t merge_run(std::vector<LInstrPtr>& body, size_t first) {
+    const auto cls = rt::reduce_class(body[first]->red);
+    std::vector<size_t> members{first};
+    Set dsts{body[first]->sdst};
+    Set between;  // names the ScalarAssigns passed so far read or write
+    size_t end = first + 1;
+    for (; end < body.size(); ++end) {
+      const LInstr& in = *body[end];
+      if (in.op == LOp::ScalarAssign) {
+        instr_reads(in, between);
+        between.insert(in.sdst);
+        continue;
+      }
+      if (!groupable(in) || rt::reduce_class(in.red) != cls ||
+          dsts.contains(in.sdst) || between.contains(in.sdst)) {
+        break;
+      }
+      members.push_back(end);
+      dsts.insert(in.sdst);
+    }
+    if (members.size() < 2) return first;
+    auto group = std::make_unique<LInstr>(LOp::ReduceGroup, body[first]->loc);
+    for (size_t m : members) {
+      LInstr& r = *body[m];
+      group->args.push_back(std::move(r.args[0]));
+      group->call_dsts.push_back({r.sdst, false});
+      group->reds.push_back(r.red);
+    }
+    for (size_t k = members.size(); k-- > 1;) {
+      body.erase(body.begin() + static_cast<ptrdiff_t>(members[k]));
+    }
+    body[first] = std::move(group);
+    rep_.coalesced += members.size() - 1;
+    return end - members.size();
+  }
+
+  OptReport& rep_;
+};
+
 }  // namespace
 
 OptReport run_opt(LProgram& prog, const OptOptions& opts) {
@@ -778,6 +851,7 @@ OptReport run_opt(LProgram& prog, const OptOptions& opts) {
     GuardElim(rep, opts.guard_proofs, full && opts.guard_elim).run(body);
     if (opts.copyprop) CopyProp(rep).run(body);
     rep.swept += sweep_scope(body, protect);
+    if (full) Coalescer(rep).run(body);
   };
   Set script_protect;
   optimize_scope(prog.script, script_protect);

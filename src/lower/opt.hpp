@@ -4,8 +4,9 @@
 // passes target run-time-library calls: loop-invariant communication is
 // hoisted out of loops (the fix for what lint's W3207 only reports),
 // duplicate communication calls in a block are merged, CopyMat chains are
-// propagated away, and chains of element-wise statements whose intermediate
-// is dead afterwards are fused into one local loop.
+// propagated away, chains of element-wise statements whose intermediate
+// is dead afterwards are fused into one local loop, and runs of independent
+// reductions share one vector allreduce.
 #pragma once
 
 #include <cstddef>
@@ -27,8 +28,8 @@ struct GuardProof {
 
 /// Optimizer configuration. Levels: 0 disables everything, 1 enables copy
 /// propagation and the unread-definition sweep, 2 (the compiler default)
-/// adds element-wise fusion, communication CSE, communication LICM, and
-/// proof-backed shape-guard elimination.
+/// adds element-wise fusion, communication CSE, communication LICM,
+/// proof-backed shape-guard elimination, and reduction coalescing.
 struct OptOptions {
   int level = 2;
   bool fuse = true;      ///< cross-statement element-wise fusion (level >= 2)
@@ -56,18 +57,20 @@ struct OptReport {
   size_t copies_propagated = 0;  ///< reads redirected through CopyMat sources
   size_t swept = 0;              ///< unread pure definitions removed
   size_t guards_seen = 0;        ///< ShapeGuard instructions in the input LIR
+  size_t coalesced = 0;          ///< allreduces saved by reduction groups
   /// Guards deleted because an absint proof matched; the verifier
   /// cross-checks each entry against the proof list (E6009).
   std::vector<GuardProof> guards_eliminated;
 
   [[nodiscard]] size_t total() const {
     return hoists.size() + fused + cse_removed + copies_propagated + swept +
-           guards_eliminated.size();
+           guards_eliminated.size() + coalesced;
   }
 };
 
 /// Runs the pass pipeline over `prog` in place:
-///   copy-prop → comm CSE → elemwise fusion → comm LICM → copy-prop → sweep.
+///   copy-prop → comm CSE → elemwise fusion → comm LICM → guard elimination
+///   → copy-prop → sweep → reduction coalescing.
 /// Output re-verifies: hoists are wrapped in a trip-count guard so zero-trip
 /// loops keep their semantics, and hoisted ML_tmp targets are pre-defined so
 /// the verifier's all-paths rule (E6002) still holds.

@@ -327,6 +327,16 @@ void Comm::check_counts(const char* op,
 }
 
 void Comm::send(int dst, int tag, const void* data, size_t bytes) {
+  post(dst, tag, data, bytes, {});
+}
+
+void Comm::send(int dst, int tag, std::vector<double>&& data) {
+  size_t bytes = data.size() * sizeof(double);
+  post(dst, tag, nullptr, bytes, std::move(data));
+}
+
+void Comm::post(int dst, int tag, const void* data, size_t bytes,
+                std::vector<double>&& payload) {
   if (dst < 0 || dst >= size()) {
     throw MpiError("send: bad destination rank " + std::to_string(dst) +
                    " (communicator has " + std::to_string(size()) +
@@ -340,8 +350,13 @@ void Comm::send(int dst, int tag, const void* data, size_t bytes) {
   detail::Message msg;
   msg.src = rank_;
   msg.tag = tag;
-  msg.payload.resize(bytes);
-  if (bytes > 0) std::memcpy(msg.payload.data(), data, bytes);
+  msg.bytes = bytes;
+  if (data != nullptr) {
+    msg.payload.resize((bytes + sizeof(double) - 1) / sizeof(double));
+    if (bytes > 0) std::memcpy(msg.payload.data(), data, bytes);
+  } else {
+    msg.payload = std::move(payload);
+  }
   if (p.shared_medium && !p.same_node(rank_, dst)) {
     // Half-duplex shared Ethernet: the sender occupies the wire for the full
     // transfer, so back-to-back sends serialize at the sender.
@@ -355,8 +370,9 @@ void Comm::send(int dst, int tag, const void* data, size_t bytes) {
   }
   detail::FaultStream::Decision fd = faults_.next_send();
   msg.ready_vtime += fd.extra_delay;
-  if (fd.corrupt && !msg.payload.empty()) {
-    msg.payload[fd.corrupt_byte % msg.payload.size()] ^= std::byte{0xFF};
+  if (fd.corrupt && bytes > 0) {
+    auto* raw = reinterpret_cast<std::byte*>(msg.payload.data());
+    raw[fd.corrupt_byte % bytes] ^= std::byte{0xFF};
   }
   if (fd.drop) return;  // the sender paid the cost; the network ate the data
   if (fd.duplicate) net_.deliver(dst, msg);
@@ -364,6 +380,14 @@ void Comm::send(int dst, int tag, const void* data, size_t bytes) {
 }
 
 void Comm::recv(int src, int tag, void* data, size_t bytes) {
+  receive(src, tag, data, bytes);
+}
+
+std::vector<double> Comm::recv_block(int src, int tag, size_t count) {
+  return std::move(receive(src, tag, nullptr, count * sizeof(double)).payload);
+}
+
+detail::Message Comm::receive(int src, int tag, void* data, size_t bytes) {
   if (src < 0 || src >= size()) {
     throw MpiError("recv: bad source rank " + std::to_string(src) +
                    " (communicator has " + std::to_string(size()) +
@@ -372,18 +396,21 @@ void Comm::recv(int src, int tag, void* data, size_t bytes) {
   op_event("recv");
   charge_compute();
   detail::Message msg = net_.await(rank_, src, tag);
-  if (msg.payload.size() != bytes) {
+  if (msg.bytes != bytes) {
     throw MpiError("recv: message size mismatch at rank " +
                    std::to_string(rank_) + " from rank " + std::to_string(src) +
                    " (tag " + std::to_string(tag) + "): expected " +
                    std::to_string(bytes) + " bytes, got " +
-                   std::to_string(msg.payload.size()));
+                   std::to_string(msg.bytes));
   }
-  if (bytes > 0) std::memcpy(data, msg.payload.data(), bytes);
+  if (data != nullptr && bytes > 0) {
+    std::memcpy(data, msg.payload.data(), bytes);
+  }
   // Clock may not move backwards: we waited (virtually) for the data.
   vtime_ = std::max(vtime_ + net_.profile.recv_overhead, msg.ready_vtime);
   // Waiting in await() burned host CPU in the condvar; do not charge it.
   last_cpu_ = now_cpu();
+  return msg;
 }
 
 namespace {
@@ -601,7 +628,7 @@ void Comm::scatterv(const double* in, double* out,
   charge_compute();
 }
 
-void Comm::alltoallv(const std::vector<std::vector<double>>& send_blocks,
+void Comm::alltoallv(std::vector<std::vector<double>> send_blocks,
                      std::vector<std::vector<double>>& recv_blocks) {
   int p = size();
   if (static_cast<int>(send_blocks.size()) != p) {
@@ -611,7 +638,7 @@ void Comm::alltoallv(const std::vector<std::vector<double>>& send_blocks,
                    " ranks (at rank " + std::to_string(rank_) + ")");
   }
   recv_blocks.assign(static_cast<size_t>(p), {});
-  recv_blocks[rank_] = send_blocks[rank_];
+  recv_blocks[rank_] = std::move(send_blocks[rank_]);
   // Pairwise exchange: step s pairs rank with rank XOR-free (r +- s) pattern.
   for (int step = 1; step < p; ++step) {
     int dst = (rank_ + step) % p;
@@ -621,14 +648,12 @@ void Comm::alltoallv(const std::vector<std::vector<double>>& send_blocks,
     send(dst, kTagAlltoall + 2 * step, &out_count, sizeof out_count);
     double in_count = 0;
     recv(src, kTagAlltoall + 2 * step, &in_count, sizeof in_count);
-    recv_blocks[src].resize(static_cast<size_t>(in_count));
     if (!send_blocks[dst].empty()) {
-      send(dst, kTagAlltoall + 2 * step + 1, send_blocks[dst].data(),
-           send_blocks[dst].size() * sizeof(double));
+      send(dst, kTagAlltoall + 2 * step + 1, std::move(send_blocks[dst]));
     }
-    if (!recv_blocks[src].empty()) {
-      recv(src, kTagAlltoall + 2 * step + 1, recv_blocks[src].data(),
-           recv_blocks[src].size() * sizeof(double));
+    if (in_count > 0) {
+      recv_blocks[src] = recv_block(src, kTagAlltoall + 2 * step + 1,
+                                    static_cast<size_t>(in_count));
     }
   }
 }

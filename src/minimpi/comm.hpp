@@ -131,10 +131,13 @@ class SpmdFailure : public MpiError {
 
 namespace detail {
 
+/// A payload is held as whole doubles plus its byte count, so a block of
+/// doubles handed to Comm::send can travel to its receiver without a copy.
 struct Message {
   int src = 0;
   int tag = 0;
-  std::vector<std::byte> payload;
+  std::vector<double> payload;
+  size_t bytes = 0;          // payload bytes actually sent
   double ready_vtime = 0.0;  // virtual time at which the data has arrived
 };
 
@@ -246,6 +249,12 @@ class Comm {
   void send(int dst, int tag, const void* data, size_t bytes);
   void recv(int src, int tag, void* data, size_t bytes);
 
+  /// Sends a block of doubles without copying it: the vector becomes the
+  /// message payload, and recv_block hands that same buffer to the receiver.
+  void send(int dst, int tag, std::vector<double>&& data);
+  /// Receives a message of exactly `count` doubles and returns its payload.
+  std::vector<double> recv_block(int src, int tag, size_t count);
+
   template <typename T>
   void send(int dst, int tag, std::span<const T> data) {
     send(dst, tag, data.data(), data.size_bytes());
@@ -280,7 +289,8 @@ class Comm {
   /// Element-wise reduction of n doubles to root (binomial tree).
   void reduce(const double* in, double* out, size_t n, ReduceOp op,
               int root = 0);
-  /// Reduce + broadcast.
+  /// Reduce + broadcast. `in` may equal `out`: the reduction copies its
+  /// input before anything is written.
   void allreduce(const double* in, double* out, size_t n, ReduceOp op);
   double allreduce_scalar(double v, ReduceOp op);
 
@@ -300,7 +310,9 @@ class Comm {
 
   /// Personalized all-to-all: send_blocks[r] goes to rank r; returns
   /// recv_blocks[r] received from rank r. Used by distributed transpose.
-  void alltoallv(const std::vector<std::vector<double>>& send_blocks,
+  /// The blocks are moved, not copied: a block reaches its receiver in the
+  /// buffer the sender filled (pass them with std::move).
+  void alltoallv(std::vector<std::vector<double>> send_blocks,
                  std::vector<std::vector<double>>& recv_blocks);
 
   /// Records this rank's final virtual time into the network (call last).
@@ -318,6 +330,14 @@ class Comm {
   void op_event(const char* what);
 
   void check_counts(const char* op, const std::vector<size_t>& counts) const;
+
+  /// The send path shared by both send overloads: copies `bytes` from
+  /// `data` into a fresh payload, or (data == nullptr) sends `payload`.
+  void post(int dst, int tag, const void* data, size_t bytes,
+            std::vector<double>&& payload);
+  /// The receive path shared by recv and recv_block: checks the size,
+  /// copies into `data` when given, and returns the message.
+  detail::Message receive(int src, int tag, void* data, size_t bytes);
 
   detail::Network& net_;
   int rank_;

@@ -598,46 +598,78 @@ double dot(mpi::Comm& comm, const DMat& a, const DMat& b) {
 }
 
 namespace {
-double reduce_local(const DMat& m, mpi::Comm::ReduceOp op, double init) {
-  double acc = init;
-  for (double v : m.local()) {
-    switch (op) {
-      case mpi::Comm::ReduceOp::Sum: acc += v; break;
-      case mpi::Comm::ReduceOp::Min: acc = std::min(acc, v); break;
-      case mpi::Comm::ReduceOp::Max: acc = std::max(acc, v); break;
-      case mpi::Comm::ReduceOp::Prod: acc *= v; break;
-    }
+/// This rank's partial of one reduction, folded from the class's identity.
+/// One loop per class: a switch inside the loop would cost a branch per
+/// element once `op` is no longer a constant at the call.
+double reduce_local(const DMat& m, mpi::Comm::ReduceOp op) {
+  auto lv = m.local();
+  double acc = 0.0;
+  switch (op) {
+    case mpi::Comm::ReduceOp::Sum:
+      for (double v : lv) acc += v;
+      break;
+    case mpi::Comm::ReduceOp::Min:
+      acc = std::numeric_limits<double>::infinity();
+      for (double v : lv) acc = std::min(acc, v);
+      break;
+    case mpi::Comm::ReduceOp::Max:
+      acc = -std::numeric_limits<double>::infinity();
+      for (double v : lv) acc = std::max(acc, v);
+      break;
+    case mpi::Comm::ReduceOp::Prod:
+      acc = 1.0;
+      for (double v : lv) acc *= v;
+      break;
   }
   return acc;
 }
+
+double reduce_one(mpi::Comm& comm, RedKind kind, const DMat& m) {
+  const ReduceTerm term{kind, &m};
+  double v = 0.0;
+  reduce_group(comm, {&term, 1}, &v);
+  return v;
+}
 }  // namespace
 
+void reduce_group(mpi::Comm& comm, std::span<const ReduceTerm> terms,
+                  double* out) {
+  if (terms.empty()) return;
+  const mpi::Comm::ReduceOp op = reduce_class(terms[0].kind);
+  for (size_t i = 0; i < terms.size(); ++i) {
+    if (reduce_class(terms[i].kind) != op) {
+      fail("reduce_group: members of different reduction classes");
+    }
+    out[i] = reduce_local(*terms[i].m, op);
+  }
+  // The tree combines the k partials element by element, so member i sees
+  // exactly the additions (or min/max/products) its single call would.
+  comm.allreduce(out, out, terms.size(), op);
+  for (size_t i = 0; i < terms.size(); ++i) {
+    if (terms[i].kind == RedKind::Mean) {
+      out[i] /= static_cast<double>(terms[i].m->numel());
+    }
+  }
+}
+
 double reduce_sum(mpi::Comm& comm, const DMat& m) {
-  return comm.allreduce_scalar(reduce_local(m, mpi::Comm::ReduceOp::Sum, 0.0),
-                               mpi::Comm::ReduceOp::Sum);
+  return reduce_one(comm, RedKind::Sum, m);
 }
 
 double reduce_min(mpi::Comm& comm, const DMat& m) {
-  return comm.allreduce_scalar(
-      reduce_local(m, mpi::Comm::ReduceOp::Min,
-                   std::numeric_limits<double>::infinity()),
-      mpi::Comm::ReduceOp::Min);
+  return reduce_one(comm, RedKind::Min, m);
 }
 
 double reduce_max(mpi::Comm& comm, const DMat& m) {
-  return comm.allreduce_scalar(
-      reduce_local(m, mpi::Comm::ReduceOp::Max,
-                   -std::numeric_limits<double>::infinity()),
-      mpi::Comm::ReduceOp::Max);
+  return reduce_one(comm, RedKind::Max, m);
 }
 
 double reduce_mean(mpi::Comm& comm, const DMat& m) {
-  return reduce_sum(comm, m) / static_cast<double>(m.numel());
+  return reduce_one(comm, RedKind::Mean, m);
 }
 
 double reduce_prod(mpi::Comm& comm, const DMat& m) {
-  return comm.allreduce_scalar(reduce_local(m, mpi::Comm::ReduceOp::Prod, 1.0),
-                               mpi::Comm::ReduceOp::Prod);
+  return reduce_one(comm, RedKind::Prod, m);
 }
 
 DMat colwise_sum(mpi::Comm& comm, const DMat& m, bool mean) {
@@ -699,7 +731,9 @@ DMat transpose(mpi::Comm& comm, const DMat& m) {
       !t.is_vector()) {
     // Fast path: sender s owns source rows [slo, shi); the element (r, c)
     // lands on the owner of t's row c. Both sides enumerate (r asc, c asc),
-    // so blocks need no per-element ownership tests.
+    // so blocks need no per-element ownership tests. Peer blocks are packed
+    // once (no zero pass) and travel without a copy; this rank's own block
+    // is transposed straight from m into t.
     int me = comm.rank();
     size_t cols = m.cols();
     auto lv = m.local();
@@ -707,18 +741,18 @@ DMat transpose(mpi::Comm& comm, const DMat& m) {
     size_t slo = m.layout().block_lo(me);
     size_t shi = m.layout().block_hi(me);
     for (int d = 0; d < p; ++d) {
+      if (d == me) continue;
       size_t dlo = t.layout().block_lo(d);
-      size_t dhi = t.layout().block_hi(d);
-      size_t w = dhi - dlo;
+      size_t w = t.layout().block_hi(d) - dlo;
       auto& blk = send[static_cast<size_t>(d)];
-      blk.resize((shi - slo) * w);
+      blk.reserve((shi - slo) * w);
       for (size_t r = slo; r < shi; ++r) {
-        std::copy_n(lv.data() + (r - slo) * cols + dlo, w,
-                    blk.data() + (r - slo) * w);
+        const double* row = lv.data() + (r - slo) * cols + dlo;
+        blk.insert(blk.end(), row, row + w);
       }
     }
     std::vector<std::vector<double>> recv;
-    comm.alltoallv(send, recv);
+    comm.alltoallv(std::move(send), recv);
     size_t tcols = t.cols();  // == m.rows()
     size_t mylo = t.layout().block_lo(me);
     size_t myhi = t.layout().block_hi(me);
@@ -728,8 +762,13 @@ DMat transpose(mpi::Comm& comm, const DMat& m) {
     for (int src = 0; src < p; ++src) {
       size_t sl = m.layout().block_lo(src);
       size_t sh = m.layout().block_hi(src);
-      transpose_local(recv[static_cast<size_t>(src)].data(), myhi - mylo,
-                      t.local().data() + sl, tcols, sh - sl, myhi - mylo);
+      if (src == me) {
+        transpose_local(lv.data() + mylo, cols, t.local().data() + sl, tcols,
+                        sh - sl, myhi - mylo);
+      } else {
+        transpose_local(recv[static_cast<size_t>(src)].data(), myhi - mylo,
+                        t.local().data() + sl, tcols, sh - sl, myhi - mylo);
+      }
     }
     return t;
   }
@@ -745,7 +784,7 @@ DMat transpose(mpi::Comm& comm, const DMat& m) {
     send[static_cast<size_t>(t.owner_of(c, r))].push_back(lv[i]);
   }
   std::vector<std::vector<double>> recv;
-  comm.alltoallv(send, recv);
+  comm.alltoallv(std::move(send), recv);
   auto tv = t.local();
   for (int s = 0; s < p; ++s) {
     size_t idx = 0;
@@ -788,7 +827,7 @@ DMat slice_vector(mpi::Comm& comm, const DMat& x, size_t lo, size_t hi) {
     send[static_cast<size_t>(out.layout().owner(g - lo))].push_back(lv[i]);
   }
   std::vector<std::vector<double>> recv;
-  comm.alltoallv(send, recv);
+  comm.alltoallv(std::move(send), recv);
   auto ov = out.local();
   std::vector<size_t> cursor(static_cast<size_t>(p), 0);
   for (size_t i = 0; i < ov.size(); ++i) {
@@ -813,7 +852,7 @@ void assign_slice(mpi::Comm& comm, DMat& x, size_t lo, size_t hi,
     send[static_cast<size_t>(x.layout().owner(g + lo))].push_back(vv[i]);
   }
   std::vector<std::vector<double>> recv;
-  comm.alltoallv(send, recv);
+  comm.alltoallv(std::move(send), recv);
   auto xv = x.local();
   std::vector<size_t> cursor(static_cast<size_t>(p), 0);
   for (size_t i = 0; i < xv.size(); ++i) {

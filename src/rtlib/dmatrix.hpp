@@ -281,11 +281,38 @@ DMat outer(mpi::Comm& comm, const DMat& col, const DMat& row);
 /// Dot product of two vectors (local dot + allreduce).
 double dot(mpi::Comm& comm, const DMat& a, const DMat& b);
 
+/// Which whole-operand reduction (or column-wise flavour) a call performs.
+enum class RedKind : uint8_t { Sum, Mean, Min, Max, Prod };
+
+/// The allreduce operator behind a reduction: its class. Sum and mean share
+/// one (mean divides afterwards); min, max and prod are each their own.
+inline mpi::Comm::ReduceOp reduce_class(RedKind k) {
+  switch (k) {
+    case RedKind::Min: return mpi::Comm::ReduceOp::Min;
+    case RedKind::Max: return mpi::Comm::ReduceOp::Max;
+    case RedKind::Prod: return mpi::Comm::ReduceOp::Prod;
+    default: return mpi::Comm::ReduceOp::Sum;
+  }
+}
+
 double reduce_sum(mpi::Comm& comm, const DMat& m);
 double reduce_min(mpi::Comm& comm, const DMat& m);
 double reduce_max(mpi::Comm& comm, const DMat& m);
 double reduce_mean(mpi::Comm& comm, const DMat& m);
 double reduce_prod(mpi::Comm& comm, const DMat& m);
+
+/// One member of a coalesced reduction group.
+struct ReduceTerm {
+  RedKind kind;
+  const DMat* m;
+};
+
+/// out[i] = reduce_<terms[i].kind>(*terms[i].m) for every member, with one
+/// k-element allreduce instead of k scalar ones. All members must share a
+/// class. Each local partial, its start value and the combining tree are
+/// those of the single call, so every result is bit-identical to it.
+void reduce_group(mpi::Comm& comm, std::span<const ReduceTerm> terms,
+                  double* out);
 
 /// Column-wise sums of a matrix as a distributed 1 x cols vector.
 DMat colwise_sum(mpi::Comm& comm, const DMat& m, bool mean);

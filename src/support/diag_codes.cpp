@@ -126,6 +126,7 @@ const std::vector<DiagCodeInfo> kRegistry = {
   {"E6007", "E60", kVerify,  "malformed owner-guarded element write"},
   {"E6008", "E60", kVerify,  "missing or malformed expression tree"},
   {"E6009", "E60", kVerify,  "shape guard deleted without an abstract-interpretation proof"},
+  {"E6010", "E60", kVerify,  "malformed reduction group"},
 
   {"W3201", "W32", kLint,    "use before definition on some path"},
   {"W3202", "W32", kLint,    "dead store (value overwritten before being read)"},

@@ -365,6 +365,7 @@ class ChunkGen {
         emit(Op::ReduceS, dst, a, 0, 0, static_cast<uint8_t>(in.red));
         return;
       }
+      case LOp::ReduceGroup: reduce_group(in); return;
       case LOp::Colwise: {
         uint32_t dst = dst_mreg(in);
         if (dst == kNoReg) return;
@@ -702,6 +703,25 @@ class ChunkGen {
          static_cast<uint32_t>(ndsts));
   }
 
+  void reduce_group(const LInstr& in) {
+    size_t k = std::min({in.args.size(), in.call_dsts.size(), in.reds.size()});
+    std::vector<uint32_t> entries;
+    for (size_t i = 0; i < k; ++i) {
+      uint32_t m = operand_mreg(in.args[i]);
+      if (m == kNoReg) return;
+      const std::string& d = in.call_dsts[i].name;
+      uint32_t s = sreg_of(d);
+      if (s == kNoReg) {
+        trap("undefined scalar '" + d + "'");
+        return;
+      }
+      entries.insert(entries.end(), {static_cast<uint32_t>(in.reds[i]), m, s});
+    }
+    uint32_t aux = static_cast<uint32_t>(mod_.aux.size());
+    mod_.aux.insert(mod_.aux.end(), entries.begin(), entries.end());
+    emit(Op::ReduceG, aux, static_cast<uint32_t>(k));
+  }
+
   void fprintf_stmt(const LInstr& in) {
     if (in.args.empty() || !in.args[0].is_string) {
       trap("fprintf needs a format");
@@ -905,6 +925,7 @@ const char* op_name(Op op) {
     case Op::DisplayV: return "display";
     case Op::DispV: return "disp";
     case Op::Fprintf: return "fprintf";
+    case Op::ReduceG: return "reduceg";
   }
   return "?";
 }
@@ -1067,6 +1088,15 @@ void dump_chunk(std::string& out, const BcModule& m, const BcChunk& ch) {
         break;
       case Op::Fprintf:
         out += '"' + m.strings[in.a] + "\" args=" + std::to_string(in.c);
+        break;
+      case Op::ReduceG:
+        for (uint32_t i = 0; i < in.b; ++i) {
+          const uint32_t* t = m.aux.data() + in.a + 3 * i;
+          if (i != 0) out += ", ";
+          s(t[2]);
+          out += " <- red" + std::to_string(t[0]) + " ";
+          mm(t[1]);
+        }
         break;
     }
     out += '\n';

@@ -85,6 +85,9 @@ enum class Op : uint8_t {
   DisplayV, ///< "name =\n…": a = S[name]; flag ? matrix m[b] : scalar s[b]
   DispV,    ///< disp(): flag 0 = string S[a], 1 = matrix m[a], 2 = scalar s[a]
   Fprintf,  ///< fprintf(S[a], …); A[b] = tagged arg regs, c = #args
+  // Appended last: a case placed mid-table moved the hot loop's code layout
+  // and measured slower on nbody's 1-rank run.
+  ReduceG,  ///< one grouped allreduce; A[a] = b triples {kind, m reg, s reg}
 };
 
 /// One fixed-width instruction. `e` is a fifth small operand (inline-cache

@@ -373,6 +373,18 @@ class Vm {
     driver::fprintf_stream(out_, mod_.strings[in.a], data);
   }
 
+  void do_reduce_group(RFrame& f, const BcInstr& in) {
+    const uint32_t* t = mod_.aux.data() + in.a;
+    red_terms_.clear();
+    for (uint32_t i = 0; i < in.b; ++i, t += 3) {
+      red_terms_.push_back({static_cast<rt::RedKind>(t[0]), &f.m[t[1]]});
+    }
+    red_vals_.resize(in.b);
+    rt::reduce_group(comm_, red_terms_, red_vals_.data());
+    t = mod_.aux.data() + in.a;
+    for (uint32_t i = 0; i < in.b; ++i, t += 3) f.s[t[2]] = red_vals_[i];
+  }
+
   // -- the dispatch loop -------------------------------------------------------
 
   void run_chunk(const BcChunk& ch, RFrame& f, uint32_t pc) {
@@ -392,6 +404,7 @@ class Vm {
         &&L_AsgnSlice,&&L_FillZ,  &&L_FillO,     &&L_FillE,   &&L_FillRnd,
         &&L_FillRange,&&L_FillLin,&&L_LoadF,     &&L_FromLit, &&L_CopyM,
         &&L_EwKern,  &&L_Guard,   &&L_DisplayV,  &&L_DispV,   &&L_Fprintf,
+        &&L_ReduceG,
     };
 #define OVM_CASE(name) L_##name:
 #define OVM_NEXT()                                     \
@@ -748,6 +761,8 @@ class Vm {
     OVM_NEXT();
     OVM_CASE(Fprintf) { do_fprintf(f, *in); }
     OVM_NEXT();
+    OVM_CASE(ReduceG) { do_reduce_group(f, *in); }
+    OVM_NEXT();
 
 #if OTTER_VM_CGOTO
 #else
@@ -781,6 +796,9 @@ class Vm {
   std::vector<const double*> kmat_ptrs_;
   std::vector<double> kscalar_vals_;
   driver::KWork kwork_;
+  // Reusable reduction-group operands and results.
+  std::vector<rt::ReduceTerm> red_terms_;
+  std::vector<double> red_vals_;
 };
 
 }  // namespace

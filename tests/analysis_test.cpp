@@ -705,6 +705,59 @@ TEST(VerifyLir, E6008RandLeafInElementwiseTree) {
   EXPECT_TRUE(has_code(r, "E6008")) << codes_str(r);
 }
 
+/// A reduction group over matrices a and b (then c...) into scalars s, t, u
+/// with the given kinds; t and u are declared here.
+lower::LInstrPtr make_group(std::vector<rt::RedKind> kinds) {
+  auto g = std::make_unique<LInstr>(LOp::ReduceGroup, SourceLoc{1, 3, 1});
+  const char* mats[] = {"a", "b", "c"};
+  const char* dsts[] = {"s", "t", "u"};
+  for (size_t i = 0; i < kinds.size(); ++i) {
+    g->args.push_back(mat_op(mats[i]));
+    g->call_dsts.push_back({dsts[i], false});
+  }
+  g->reds = std::move(kinds);
+  return g;
+}
+
+LProgram group_program(lower::LInstrPtr g) {
+  LProgram p = base_program();
+  p.script_vars.push_back({"t", false});
+  p.script_vars.push_back({"u", false});
+  p.script.push_back(std::move(g));
+  return p;
+}
+
+TEST(VerifyLir, E6010WellFormedGroupAccepted) {
+  auto r = verify(group_program(make_group(
+      {rt::RedKind::Sum, rt::RedKind::Mean, rt::RedKind::Sum})));
+  EXPECT_EQ(r.count, 0u) << codes_str(r);
+}
+
+TEST(VerifyLir, E6010OneMemberGroup) {
+  auto r = verify(group_program(make_group({rt::RedKind::Max})));
+  EXPECT_TRUE(has_code(r, "E6010")) << codes_str(r);
+}
+
+TEST(VerifyLir, E6010MixedClasses) {
+  auto r = verify(
+      group_program(make_group({rt::RedKind::Sum, rt::RedKind::Max})));
+  EXPECT_TRUE(has_code(r, "E6010")) << codes_str(r);
+}
+
+TEST(VerifyLir, E6010NonMatrixOperand) {
+  auto g = make_group({rt::RedKind::Min, rt::RedKind::Min});
+  g->args[1] = scalar_op(lower::limm(2));
+  auto r = verify(group_program(std::move(g)));
+  EXPECT_TRUE(has_code(r, "E6010")) << codes_str(r);
+}
+
+TEST(VerifyLir, E6010RepeatedDestination) {
+  auto g = make_group({rt::RedKind::Prod, rt::RedKind::Prod});
+  g->call_dsts[1].name = "s";
+  auto r = verify(group_program(std::move(g)));
+  EXPECT_TRUE(has_code(r, "E6010")) << codes_str(r);
+}
+
 TEST(VerifyLir, VerifierAcceptsEveryCompiledBenchmark) {
   const fs::path dir = OTTER_SCRIPTS_DIR;
   for (const char* name : {"cg.m", "nbody.m", "ocean.m", "transclos.m"}) {

@@ -382,6 +382,46 @@ TEST(CheckpointRecovery, CrashMatrixRecoversBitwiseIdentical) {
   }
 }
 
+// Coalesced reductions at the top level: each group is one statement with
+// its own boundary, and a crash at any comm op around one (checkpointing
+// every statement) resumes to the fault-free output.
+TEST(CheckpointRecovery, CrashAroundTopLevelGroupResumesBitwise) {
+  constexpr int kNp = 2;
+  auto c = compile(
+      "x = rand(9, 1); y = rand(9, 1);\n"
+      "a = mean(x); b = mean(y);\n"
+      "x = x + a; y = y - b;\n"
+      "c = sum(x); d = sum(y); e = sum(x .* y);\n"
+      "fprintf('%.17g %.17g %.17g %.17g %.17g\\n', a, b, c, d, e);\n");
+  ASSERT_GE(c->opt_report.coalesced, 2u);
+  size_t groups = 0;
+  for (const lower::LInstrPtr& in : c->lir.script) {
+    groups += in->op == lower::LOp::ReduceGroup ? 1 : 0;
+  }
+  ASSERT_EQ(groups, 2u) << lower::dump_lir(c->lir);
+  auto ref = run_plain(c->lir, kNp);
+  for (int crash_rank = 0; crash_rank < kNp; ++crash_rank) {
+    for (uint64_t crash_op = 1;
+         crash_op <= ref.times.ops[static_cast<size_t>(crash_rank)];
+         ++crash_op) {
+      TempDir dir;
+      driver::ExecOptions eo;
+      eo.ckpt = {1, dir.path, false};
+      eo.spmd.fault.crash_rank = crash_rank;
+      eo.spmd.fault.crash_at_op = crash_op;
+      driver::RetryOptions ropts;
+      ropts.max_attempts = 3;
+      auto rr = driver::run_with_retries(c->lir, mpi::profile_by_name("ideal"),
+                                         kNp, eo, ropts);
+      SCOPED_TRACE("crash_rank=" + std::to_string(crash_rank) + "@" +
+                   std::to_string(crash_op));
+      ASSERT_TRUE(rr.ok) << (rr.failures.empty() ? "" : rr.failures.back().what);
+      EXPECT_EQ(rr.attempts, 2);
+      EXPECT_EQ(rr.run.output, ref.output);
+    }
+  }
+}
+
 TEST(CheckpointRecovery, CorruptNewestCheckpointFallsBackAndStillRecovers) {
   constexpr int kNp = 2;
   auto c = compile(fig3_style_script(8));

@@ -127,6 +127,44 @@ fprintf('%g\n', s);)";
   EXPECT_EQ(out.str(), expected.output);
 }
 
+// Coalesced reductions (a group in the loop, one after it) run the same
+// grouped allreduce in generated C as on the VM.
+TEST_P(CcE2e, GroupedReductionsMatchTheVm) {
+  if (!CompiledProgram::toolchain_available()) {
+    GTEST_SKIP() << "no host C++ compiler available";
+  }
+  const std::string src = R"(x = rand(9, 1);
+y = rand(9, 1);
+s = 0;
+for k = 1:3
+  a = mean(x);
+  b = sum(y);
+  m1 = max(x);
+  m2 = max(y);
+  s = s + a * b + m1 - m2;
+  x = x + 0.5 * a;
+  y = y - 0.25 * b;
+end
+fprintf('%.17g %.17g %.17g\n', s, min(x), min(y));)";
+  auto compiled = driver::compile_script(src);
+  ASSERT_TRUE(compiled->ok) << compiled->diags.to_string();
+  EXPECT_EQ(compiled->opt_report.coalesced, 3u)
+      << lower::dump_lir(compiled->lir);
+  driver::ParallelRun vm =
+      driver::run_parallel(compiled->lir, mpi::ideal(8), GetParam());
+
+  std::string error;
+  auto program = CompiledProgram::build(compiled->lir, &error);
+  ASSERT_TRUE(program.has_value()) << error;
+  std::ostringstream out;
+  mpi::RunResult r = mpi::run_spmd(mpi::ideal(8), GetParam(),
+                                   [&](mpi::Comm& comm) {
+                                     program->run(comm, out, {});
+                                   });
+  EXPECT_EQ(out.str(), vm.output);
+  EXPECT_EQ(r.total_ops(), vm.times.total_ops());
+}
+
 TEST_P(CcE2e, GeneratedControlFlowAndSlices) {
   if (!CompiledProgram::toolchain_available()) {
     GTEST_SKIP() << "no host C++ compiler available";

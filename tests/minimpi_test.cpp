@@ -320,6 +320,33 @@ TEST(MiniMpi, AlltoallvEmptyBlocks) {
   });
 }
 
+// alltoallv hands each block over instead of copying it: the receiver gets
+// the very buffer the sender filled.
+TEST(MiniMpi, AlltoallvMovesBlocksWithoutCopying) {
+  constexpr int kP = 3;
+  std::vector<std::vector<const double*>> sent(kP,
+                                               std::vector<const double*>(kP));
+  std::vector<std::vector<const double*>> got(kP,
+                                              std::vector<const double*>(kP));
+  run_spmd(ideal(), kP, [&](Comm& c) {
+    std::vector<std::vector<double>> send(kP);
+    for (int d = 0; d < kP; ++d) {
+      send[d].assign(64, c.rank() * 100.0 + d);
+      sent[c.rank()][d] = send[d].data();
+    }
+    std::vector<std::vector<double>> recv;
+    c.alltoallv(std::move(send), recv);
+    for (int s = 0; s < kP; ++s) {
+      ASSERT_EQ(recv[s].size(), 64u);
+      EXPECT_DOUBLE_EQ(recv[s][63], s * 100.0 + c.rank());
+      got[c.rank()][s] = recv[s].data();
+    }
+  });
+  for (int s = 0; s < kP; ++s) {
+    for (int d = 0; d < kP; ++d) EXPECT_EQ(got[d][s], sent[s][d]);
+  }
+}
+
 TEST(MiniMpi, VirtualTimesAreDeterministic) {
   // With cpu_scale = 0 the entire schedule is a pure function of the
   // communication pattern — repeated runs give identical virtual times.

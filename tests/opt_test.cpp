@@ -5,6 +5,11 @@
 // cross-link ("the warning is a note once the optimizer performs the fix").
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
+#include <optional>
+#include <sstream>
+
 #include "analysis/lint.hpp"
 #include "analysis/verify.hpp"
 #include "driver/pipeline.hpp"
@@ -12,12 +17,12 @@
 namespace otter::lower {
 namespace {
 
-std::unique_ptr<driver::CompileResult> compile_at(const std::string& src,
-                                                  int level) {
+std::unique_ptr<driver::CompileResult> compile_at(
+    const std::string& src, int level, const sema::MFileLoader& loader = {}) {
   driver::CompileOptions copts;
   copts.opt.level = level;
   copts.keep_preopt = true;
-  auto c = driver::compile_script(src, {}, copts);
+  auto c = driver::compile_script(src, loader, copts);
   EXPECT_TRUE(c->ok) << c->diags.to_string();
   return c;
 }
@@ -249,6 +254,260 @@ TEST(OptKernels, RandTreesKeepPerDrawSemantics) {
       "disp(x);\n"
       "disp(y);\n";
   EXPECT_EQ(run_at(src, 2, 1), driver::run_interpreter(src).output);
+}
+
+// -- reduction coalescing -----------------------------------------------------
+
+// Small integers: every sum and product is exact, so the interpreter's
+// sequential order and the ranks' tree order print the same bits.
+const char* kVectors =
+    "x = floor(rand(7, 1) * 4) + 1; y = floor(rand(7, 1) * 4) + 1;\n"
+    "z = floor(rand(7, 1) * 4) + 1;\n";
+
+/// Compiles `src` at -O2, checks that it prints the interpreter's output at
+/// np 1 and 3, and returns how many allreduces coalescing saved.
+size_t coalesced_in(const std::string& src,
+                    const sema::MFileLoader& loader = {}) {
+  auto c = compile_at(src, 2, loader);
+  const std::string expected = driver::run_interpreter(src, loader).output;
+  for (int np : {1, 3}) {
+    EXPECT_EQ(driver::run_parallel(c->lir, mpi::profile_by_name("ideal"), np)
+                  .output,
+              expected)
+        << "np=" << np << "\n" << src;
+  }
+  return c->opt_report.coalesced;
+}
+
+TEST(OptCoalesce, NbodyLoopGroupsAtO2Only) {
+  std::ifstream in(std::string(OTTER_SCRIPTS_DIR) + "/nbody.m");
+  ASSERT_TRUE(in);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  std::string src = ss.str();
+  src.replace(src.find("n = 5000;"), 9, "n = 50;");
+  src.replace(src.find("steps = 40;"), 11, "steps = 4;");
+
+  auto c0 = compile_at(src, 0);
+  EXPECT_EQ(c0->opt_report.coalesced, 0u);
+  EXPECT_EQ(dump_lir(c0->lir).find("ML_reduce_group"), std::string::npos);
+  auto c2 = compile_at(src, 2);
+  std::string post = dump_lir(c2->lir);
+  // One group per step (the two means) and one per pair after the loop.
+  EXPECT_EQ(c2->opt_report.coalesced, 3u) << post;
+  size_t loop = post.find("for step");
+  size_t group = post.find("ML_reduce_group(mean(x), mean(y))");
+  ASSERT_NE(group, std::string::npos) << post;
+  EXPECT_GT(group, loop) << post;
+  EXPECT_EQ(coalesced_in(src), 3u);
+}
+
+TEST(OptCoalesce, MembersShareOneReductionClass) {
+  const struct {
+    const char* reds;
+    size_t coalesced;
+  } kCases[] = {
+      {"a = sum(x); b = mean(y);", 1}, {"a = sum(x); b = max(y);", 0},
+      {"a = min(x); b = min(y);", 1},  {"a = max(x); b = max(y);", 1},
+      {"a = prod(x); b = prod(y);", 1}, {"a = mean(x); b = min(y);", 0},
+  };
+  for (const auto& k : kCases) {
+    std::string src = std::string(kVectors) + k.reds +
+                      "\nfprintf('%.17g %.17g\\n', a, b);\n";
+    EXPECT_EQ(coalesced_in(src), k.coalesced) << k.reds;
+  }
+}
+
+TEST(OptCoalesce, ThreeInARowMakeOneGroup) {
+  std::string src = std::string(kVectors) +
+                    "a = sum(x); b = mean(y); c = sum(z);\n"
+                    "fprintf('%.17g %.17g %.17g\\n', a, b, c);\n";
+  EXPECT_EQ(coalesced_in(src), 2u);
+  std::string post = dump_lir(compile_at(src, 2)->lir);
+  EXPECT_EQ(count_of(post, "ML_reduce_group"), 1u) << post;
+  EXPECT_NE(post.find("ML_reduce_group(sum(x), mean(y), sum(z))"),
+            std::string::npos)
+      << post;
+}
+
+TEST(OptCoalesce, ElementwiseLoopFprintfAndIfEndTheRun) {
+  const char* kBetween[] = {
+      "w = x .* 2;\n",
+      "fprintf('%.17g\\n', a);\n",
+      "if a > 1\n  q = 1;\nelse\n  q = 2;\nend\n",
+  };
+  for (const char* between : kBetween) {
+    std::string src = std::string(kVectors) + "w = z;\nq = 0;\na = sum(x);\n" +
+                      between +
+                      "b = sum(y);\n"
+                      "fprintf('%.17g %.17g %g %g\\n', a, b, q, w(2));\n";
+    EXPECT_EQ(coalesced_in(src), 0u) << src;
+    std::string post = dump_lir(compile_at(src, 2)->lir);
+    EXPECT_EQ(count_of(post, "ML_reduce_sum(x)"), 1u) << post;
+  }
+}
+
+TEST(OptCoalesce, GroupsFormInIfArmsAndFunctionBodies) {
+  std::string arm = std::string(kVectors) +
+                    "a = 0; b = 0;\n"
+                    "if x(1) > -1\n  a = sum(x);\n  b = mean(y);\nend\n"
+                    "fprintf('%.17g %.17g\\n', a, b);\n";
+  EXPECT_EQ(coalesced_in(arm), 1u);
+  auto c = compile_at(arm, 2);
+  for (const LInstrPtr& in : c->lir.script) {
+    EXPECT_NE(in->op, LOp::ReduceGroup) << dump_lir(c->lir);
+    if (in->op == LOp::IfOp) {
+      ASSERT_FALSE(in->arms.empty());
+      EXPECT_EQ(in->arms[0].body.front()->op, LOp::ReduceGroup)
+          << dump_lir(c->lir);
+    }
+  }
+
+  sema::MFileLoader loader =
+      [](const std::string& name) -> std::optional<std::string> {
+    if (name == "both") return "function s = both(u, v)\ns = sum(u) + mean(v);\n";
+    return std::nullopt;
+  };
+  std::string call = std::string(kVectors) +
+                     "s = both(x, y);\nfprintf('%.17g\\n', s);\n";
+  EXPECT_EQ(coalesced_in(call, loader), 1u);
+  auto f = compile_at(call, 2, loader);
+  ASSERT_EQ(f->lir.functions.size(), 1u);
+  EXPECT_EQ(f->lir.functions[0].body.front()->op, LOp::ReduceGroup)
+      << dump_lir(f->lir);
+}
+
+// Rules no lowering output can reach (a Reduce always writes a fresh
+// temporary) are checked on hand-built LIR: the -O0 LIR of kPrelude with
+// statements spliced in front of its fprintf, then the -O2 optimizer.
+
+const char* kPrelude =
+    "x = floor(rand(7, 1) * 4) + 1; y = floor(rand(7, 1) * 4) + 1;\n"
+    "A = rand(3, 4);\np = 0; q = 0; r = 0;\n";
+const char* kPreludePrint = "fprintf('%.17g %.17g %.17g\\n', p, q, r);\n";
+
+LInstrPtr reduce_into(const std::string& dst, RedKind k,
+                      const std::string& mat) {
+  auto in = std::make_unique<LInstr>(LOp::Reduce);
+  in->sdst = dst;
+  in->red = k;
+  LOperand o;
+  o.is_matrix = true;
+  o.mat = mat;
+  in->args.push_back(std::move(o));
+  return in;
+}
+
+LInstrPtr assign(const std::string& dst, LExprPtr tree) {
+  auto in = std::make_unique<LInstr>(LOp::ScalarAssign);
+  in->sdst = dst;
+  in->tree = std::move(tree);
+  return in;
+}
+
+/// Splices `mid` into the prelude's LIR, optimizes at -O2, checks that the
+/// result verifies and prints the interpreter's output for `same_as` (the
+/// MATLAB statements `mid` spells out) at np 1 and 3, and returns how many
+/// allreduces coalescing saved.
+size_t coalesced_spliced(std::vector<LInstrPtr> mid, const std::string& same_as) {
+  auto c = compile_at(std::string(kPrelude) + kPreludePrint, 0);
+  std::vector<LInstrPtr>& body = c->lir.script;
+  body.insert(body.end() - 1, std::make_move_iterator(mid.begin()),
+              std::make_move_iterator(mid.end()));
+  OptReport rep = run_opt(c->lir, OptOptions{});
+  DiagEngine diags(nullptr);
+  EXPECT_EQ(analysis::verify_lir(c->lir, diags), 0u) << diags.to_string();
+  const std::string src = std::string(kPrelude) + same_as + kPreludePrint;
+  const std::string expected = driver::run_interpreter(src).output;
+  for (int np : {1, 3}) {
+    EXPECT_EQ(driver::run_parallel(c->lir, mpi::profile_by_name("ideal"), np)
+                  .output,
+              expected)
+        << "np=" << np << "\n" << dump_lir(c->lir);
+  }
+  return rep.coalesced;
+}
+
+TEST(OptCoalesce, StatementBetweenMayReadTheFirstResult) {
+  std::vector<LInstrPtr> mid;
+  mid.push_back(reduce_into("p", RedKind::Sum, "x"));
+  mid.push_back(assign("r", lbin(EwBin::Add, lsvar("p"), limm(1))));
+  mid.push_back(reduce_into("q", RedKind::Sum, "y"));
+  EXPECT_EQ(coalesced_spliced(std::move(mid),
+                              "p = sum(x); r = p + 1; q = sum(y);\n"),
+            1u);
+}
+
+TEST(OptCoalesce, ReadOfTheLaterDestinationBlocks) {
+  std::vector<LInstrPtr> mid;
+  mid.push_back(reduce_into("p", RedKind::Sum, "x"));
+  mid.push_back(assign("r", lbin(EwBin::Add, lsvar("q"), limm(1))));
+  mid.push_back(reduce_into("q", RedKind::Sum, "y"));
+  EXPECT_EQ(coalesced_spliced(std::move(mid),
+                              "p = sum(x); r = q + 1; q = sum(y);\n"),
+            0u);
+}
+
+TEST(OptCoalesce, WriteOfTheLaterDestinationBlocks) {
+  std::vector<LInstrPtr> mid;
+  mid.push_back(reduce_into("p", RedKind::Max, "x"));
+  mid.push_back(assign("q", limm(5)));
+  mid.push_back(reduce_into("q", RedKind::Max, "y"));
+  EXPECT_EQ(coalesced_spliced(std::move(mid),
+                              "p = max(x); q = 5; q = max(y);\n"),
+            0u);
+}
+
+TEST(OptCoalesce, ShapeGuardBlocks) {
+  std::vector<LInstrPtr> mid;
+  mid.push_back(reduce_into("p", RedKind::Min, "x"));
+  auto guard = std::make_unique<LInstr>(LOp::ShapeGuard);
+  LOperand m;
+  m.is_matrix = true;
+  m.mat = "A";
+  LOperand what;
+  what.is_string = true;
+  what.str = "sum";
+  guard->args.push_back(std::move(m));
+  guard->args.push_back(std::move(what));
+  mid.push_back(std::move(guard));
+  mid.push_back(reduce_into("q", RedKind::Min, "y"));
+  EXPECT_EQ(coalesced_spliced(std::move(mid), "p = min(x); q = min(y);\n"),
+            0u);
+}
+
+// Every class prints the same %.17g bits at -O0 (one allreduce per call)
+// and -O2 (one per group), whatever the rank count and distribution: signed
+// zeros, infinities, NaN, and vectors shorter than np, whose empty local
+// parts contribute the class's identity.
+TEST(OptCoalesce, SameBitsAtBothLevels) {
+  const std::string src =
+      "u = [-0.0, 1.5, -2.25];\n"
+      "v = [Inf, -1, 3, -Inf];\n"
+      "w = [NaN, 2, 4];\n"
+      "e = [-0.0, -0.0];\n"
+      "g = rand(1, 11) - 0.5;\n"
+      "s1 = sum(u); s2 = mean(g); s3 = sum(e); s4 = mean(v); s5 = mean(w);\n"
+      "m1 = min(v); m2 = min(w); m3 = min(e);\n"
+      "x1 = max(w); x2 = max(u); x3 = max(v);\n"
+      "p1 = prod(u); p2 = prod(v); p3 = prod(g);\n"
+      "fprintf('%.17g %.17g %.17g %.17g %.17g\\n', s1, s2, s3, s4, s5);\n"
+      "fprintf('%.17g %.17g %.17g\\n', m1, m2, m3);\n"
+      "fprintf('%.17g %.17g %.17g\\n', x1, x2, x3);\n"
+      "fprintf('%.17g %.17g %.17g\\n', p1, p2, p3);\n";
+  auto c0 = compile_at(src, 0);
+  auto c2 = compile_at(src, 2);
+  EXPECT_EQ(c2->opt_report.coalesced, 10u) << dump_lir(c2->lir);
+  for (rt::Dist dist : {rt::Dist::RowBlock, rt::Dist::Cyclic}) {
+    driver::ExecOptions eo;
+    eo.dist = dist;
+    for (int np = 1; np <= 5; ++np) {
+      auto ideal = mpi::profile_by_name("ideal");
+      EXPECT_EQ(driver::run_parallel(c0->lir, ideal, np, eo).output,
+                driver::run_parallel(c2->lir, ideal, np, eo).output)
+          << "np=" << np << " cyclic=" << (dist == rt::Dist::Cyclic);
+    }
+  }
 }
 
 // -- whole-program equivalence and the verifier -------------------------------

@@ -21,8 +21,10 @@ namespace {
 
 namespace fs = std::filesystem;
 
-std::unique_ptr<driver::CompileResult> compile(const std::string& src) {
+std::unique_ptr<driver::CompileResult> compile(const std::string& src,
+                                               int level = 2) {
   driver::CompileOptions copts;  // default pipeline: -O2, no DSE
+  copts.opt.level = level;
   auto c = driver::compile_script(src, {}, copts);
   EXPECT_TRUE(c->ok) << c->diags.to_string();
   return c;
@@ -114,18 +116,29 @@ TEST(VmBytecode, FunctionsGetTheirOwnChunks) {
 
 class VmCorpus : public ::testing::TestWithParam<int> {};
 
-// Total comm ops of each fig2 script on the default -O2 LIR at np = 1, 2
-// and 4 (the ideal profile). Any change here is a change in what the
-// program communicates, which must be deliberate.
+// Total comm ops of each fig2 script on the default -O2 LIR and on the LIR
+// as lowered (-O0) at np = 1, 2 and 4 (the ideal profile). Any change here
+// is a change in what the program communicates, which must be deliberate.
+// nbody's -O2 figures are 43 allreduces (4 ops each at np = 2, 12 at
+// np = 4): reduction coalescing merges each step's two means, and the two
+// pairs after the loop, into one allreduce apiece.
 const std::map<std::string, std::array<uint64_t, 3>> kCorpusOps = {
     {"cg.m", {0, 324, 1308}},
-    {"nbody.m", {0, 340, 1020}},
+    {"nbody.m", {0, 172, 516}},
+    {"ocean.m", {0, 64, 264}},
+    {"transclos.m", {0, 44, 240}},
+};
+// At -O0 nbody also re-reduces the loop-invariant sum(m) every step (no
+// LICM): 124 allreduces.
+const std::map<std::string, std::array<uint64_t, 3>> kCorpusOpsO0 = {
+    {"cg.m", {0, 324, 1308}},
+    {"nbody.m", {0, 496, 1488}},
     {"ocean.m", {0, 64, 264}},
     {"transclos.m", {0, 44, 240}},
 };
 
 // The paper's four applications must print exactly the interpreter's
-// output at every rank count, with the pinned comm-op counts.
+// output at every rank count and opt level, with the pinned comm-op counts.
 TEST_P(VmCorpus, TreeAndVmAreObservationallyIdentical) {
   const int np = GetParam();
   const size_t np_index = np == 1 ? 0 : np == 2 ? 1 : 2;
@@ -140,14 +153,19 @@ TEST_P(VmCorpus, TreeAndVmAreObservationallyIdentical) {
     ASSERT_TRUE(in) << p;
     std::ostringstream ss;
     ss << in.rdbuf();
-    auto c = compile(ss.str());
-    ASSERT_TRUE(c->ok) << p;
-    auto vm = run_vm(c->lir, np);
-    SCOPED_TRACE(p.filename().string() + " np=" + std::to_string(np));
-    EXPECT_EQ(vm.output, driver::run_interpreter(ss.str()).output);
-    auto ops = kCorpusOps.find(p.filename().string());
-    ASSERT_NE(ops, kCorpusOps.end()) << "no pinned comm-op count";
-    EXPECT_EQ(vm.times.total_ops(), ops->second[np_index]);
+    const std::string expected = driver::run_interpreter(ss.str()).output;
+    for (int level : {2, 0}) {
+      auto c = compile(ss.str(), level);
+      ASSERT_TRUE(c->ok) << p;
+      auto vm = run_vm(c->lir, np);
+      SCOPED_TRACE(p.filename().string() + " -O" + std::to_string(level) +
+                   " np=" + std::to_string(np));
+      EXPECT_EQ(vm.output, expected);
+      const auto& table = level == 2 ? kCorpusOps : kCorpusOpsO0;
+      auto ops = table.find(p.filename().string());
+      ASSERT_NE(ops, table.end()) << "no pinned comm-op count";
+      EXPECT_EQ(vm.times.total_ops(), ops->second[np_index]);
+    }
   }
 }
 

@@ -14,8 +14,8 @@
 //   --dist=block|cyclic    data-distribution strategy (default block)
 //   --no-peephole          disable the peephole pass (paper pass 6)
 //   --seed=N               seed for rand (default 1)
-//   --times                print per-rank virtual times and minor page
-//                          faults after the run
+//   --times                print per-rank virtual times, comm ops and
+//                          minor page faults after the run
 //   --fault-plan=SPEC      deterministic fault injection, e.g.
 //                          "seed=42,drop=0.1,crash=2@7" (see minimpi/fault.hpp)
 //   --timeout=SECS         watchdog deadline for a blocked rank (default 30)
@@ -251,12 +251,13 @@ std::string dirname_of(const std::string& path) {
   return slash == std::string::npos ? std::string(".") : path.substr(0, slash);
 }
 
-/// The --times report: each rank's virtual time and the minor page faults
-/// its thread took.
+/// The --times report: each rank's virtual time, the communication ops it
+/// completed, and the minor page faults its thread took.
 void print_rank_times(const otter::mpi::RunResult& times) {
   for (size_t r = 0; r < times.vtimes.size(); ++r) {
     std::cerr << "rank " << r << " vtime " << times.vtimes[r] << "s, "
-              << times.minor_faults[r] << " minor faults\n";
+              << times.ops[r] << " comm ops, " << times.minor_faults[r]
+              << " minor faults\n";
   }
 }
 

@@ -13,7 +13,8 @@
 //      the baseline interpreter AND the compiled pipeline at np=1 and np=3 —
 //      the bytecode VM on the LIR exactly as lowered (-O0, no DSE) and on
 //      the full default pipeline (DSE + -O2); all outputs must agree
-//      exactly.
+//      exactly, and at np=3 the -O2 leg may make no more comm ops than the
+//      -O0 leg (stage 4 checks the same).
 //   4. Guard/divergence generator: seeded random scripts mixing provable and
 //      unprovable matrix shapes, reductions (shape guards), and optionally
 //      rank-divergent control around communication. Each script is executed
@@ -259,6 +260,15 @@ std::vector<fs::path> list_scripts(const fs::path& dir) {
 
 // -- differential check -------------------------------------------------------
 
+/// The optimizer's metamorphic check: its passes only delete, hoist or
+/// merge communication, so the -O2 LIR never makes more comm ops than the
+/// LIR as lowered. Returns a problem description, or empty.
+std::string more_ops_at_o2(uint64_t ops_o0, uint64_t ops_o2) {
+  if (ops_o2 <= ops_o0) return {};
+  return "np=3 -O2 made " + std::to_string(ops_o2) +
+         " comm ops, more than -O0's " + std::to_string(ops_o0);
+}
+
 /// Runs `source` through the interpreter and the compiled pipeline at np=1
 /// and np=3; returns a problem description, or empty when all agree.
 std::string diff_one(const std::string& source) {
@@ -281,7 +291,9 @@ std::string diff_one(const std::string& source) {
       {0, " (vm -O0)"},
       {2, " (vm -O2)"},
   };
-  for (const Leg& leg : kLegs) {
+  uint64_t ops_np3[2] = {0, 0};  // per leg
+  for (size_t li = 0; li < 2; ++li) {
+    const Leg& leg = kLegs[li];
     otter::driver::CompileOptions copts;
     copts.lower.dse = leg.level > 0;
     copts.opt.level = leg.level;
@@ -298,13 +310,14 @@ std::string diff_one(const std::string& source) {
                  " output diverges from the interpreter\n--- interp ---\n" +
                  interp_out + "--- direct ---\n" + run.output;
         }
+        if (np == 3) ops_np3[li] = run.times.total_ops();
       } catch (const std::exception& e) {
         return "np=" + std::to_string(np) + leg.tag +
                " execution failed: " + e.what();
       }
     }
   }
-  return {};
+  return more_ops_at_o2(ops_np3[0], ops_np3[1]);
 }
 
 // -- guard/divergence generator -----------------------------------------------
@@ -354,14 +367,16 @@ std::string gen_guard_script(uint64_t seed) {
 struct RunOutcome {
   bool ok = false;
   std::string out;  // output, or the failure code/description
+  uint64_t ops = 0;  // total comm ops of a completed run
 };
 
 RunOutcome run_guard_script(const otter::lower::LProgram& lir, int np) {
   RunOutcome r;
   try {
-    r.out = otter::driver::run_parallel(
-                lir, otter::mpi::profile_by_name("ideal"), np)
-                .output;
+    auto run = otter::driver::run_parallel(
+        lir, otter::mpi::profile_by_name("ideal"), np);
+    r.out = run.output;
+    r.ops = run.times.total_ops();
     r.ok = true;
   } catch (const otter::mpi::SpmdFailure& e) {
     r.out = e.first().code.empty() ? "uncoded failure" : e.first().code;
@@ -406,6 +421,10 @@ std::string diff_guard_levels(const std::string& source, Stats& stats,
       return "np=" + std::to_string(np) +
              " -O0 and -O2 behaviour diverges\n--- -O0 ---\n" + o0.out +
              "\n--- -O2 ---\n" + o2.out + "\n--- script ---\n" + source;
+    }
+    if (np == 3 && o0.ok) {
+      std::string more = more_ops_at_o2(o0.ops, o2.ops);
+      if (!more.empty()) return more + "\n--- script ---\n" + source;
     }
   }
   return {};
