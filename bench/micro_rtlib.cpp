@@ -5,9 +5,11 @@
 // result written. The largest size of each kernel is its paper script's.
 #include <benchmark/benchmark.h>
 
+#include <string>
 #include <vector>
 
 #include "rtlib/dmatrix.hpp"
+#include "rtlib/matmul_kernels.hpp"
 
 namespace {
 
@@ -54,6 +56,34 @@ void BM_MatMul(benchmark::State& state) {
   report(state, 2 * d * d * d, 24 * d * d);
 }
 BENCHMARK(BM_MatMul)->Arg(64)->Arg(128)->Arg(256)->Arg(384);
+
+/// One register-tile instance alone on local n x n arrays, without the
+/// allgather copy and result allocation of BM_MatMul: one benchmark per
+/// instance this CPU runs, named BM_MatMulKernel/<isa>/<n>.
+void BM_MatMulKernel(benchmark::State& state,
+                     const rt::detail::MatmulKernel& kernel) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  std::vector<double> a, b, c(n * n);
+  mpi::run_spmd(mpi::ideal(1), 1, [&](mpi::Comm& comm) {
+    a = rt::to_full(comm, rnd(comm, n, n));
+    b = rt::to_full(comm, rnd(comm, n, n, n * n));
+  });
+  for (auto _ : state) {
+    kernel.run(a.data(), b.data(), c.data(), n, n, n);
+    benchmark::ClobberMemory();
+  }
+  const double d = static_cast<double>(n);
+  report(state, 2 * d * d * d, 24 * d * d);
+}
+
+[[maybe_unused]] const bool kMatMulKernelsRegistered = [] {
+  for (const rt::detail::MatmulKernel& k : rt::detail::matmul_kernels()) {
+    benchmark::RegisterBenchmark(
+        (std::string("BM_MatMulKernel/") + k.isa).c_str(), BM_MatMulKernel, k)
+        ->Arg(64)->Arg(128)->Arg(256)->Arg(384);
+  }
+  return true;
+}();
 
 void BM_MatVec(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

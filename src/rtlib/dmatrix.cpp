@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "rtlib/matmul_kernels.hpp"
 #include "support/matio.hpp"
 #include "support/rng.hpp"
 
@@ -26,7 +27,9 @@ std::string shape_str(const DMat& m) {
 // term is skipped: 0 * Inf and 0 * NaN must reach the sum.
 
 /// Columns of B per panel: a K x 128 strip of row-major B (384 KiB at the
-/// paper's K = 384) stays in L2 while every 4-row block of A sweeps it.
+/// paper's K = 384) stays in L2 while every block of A's rows sweeps it.
+/// A multiple of every tile width below, so only the last panel has a
+/// column edge.
 constexpr size_t kPanelCols = 128;
 
 /// Edge of the square blocks transposes copy through: 32 x 32 doubles is
@@ -40,55 +43,68 @@ double dot_strided(const double* a, const double* b, size_t ldb, size_t kdim) {
   return acc;
 }
 
-/// C(0..3, 0..3) = A(0..3, :) * B(:, 0..3) as a 4x4 register tile. Sixteen
-/// named accumulators, not an array: GCC 12 at -O2 keeps these in registers
-/// as packed SSE2 pairs, while a double[4][4] stayed on the stack with a
-/// load and a store around every packed add.
-void tile4x4(const double* a, size_t lda, const double* b, size_t ldb,
-             size_t kdim, double* c, size_t ldc) {
-  const double* a0 = a;
-  const double* a1 = a0 + lda;
-  const double* a2 = a1 + lda;
-  const double* a3 = a2 + lda;
-  double c00 = 0.0, c01 = 0.0, c02 = 0.0, c03 = 0.0;
-  double c10 = 0.0, c11 = 0.0, c12 = 0.0, c13 = 0.0;
-  double c20 = 0.0, c21 = 0.0, c22 = 0.0, c23 = 0.0;
-  double c30 = 0.0, c31 = 0.0, c32 = 0.0, c33 = 0.0;
+// GCC vector types: each lane is one element of C, so the lane arithmetic is
+// exactly the scalar loop's.
+typedef double v2df __attribute__((vector_size(16)));
+typedef double v4df __attribute__((vector_size(32)));
+typedef double v8df __attribute__((vector_size(64)));
+
+/// C(0..R-1, 0..W*L-1) = A(0..R-1, :) * B(:, 0..W*L-1) as an R x W register
+/// tile of L-lane vectors V: R * W accumulators, W vectors of B's row k and
+/// one broadcast a(r, k) live in registers. Each lane starts at +0.0 and
+/// adds a(r, k) * b(k, j) in ascending k, a separate multiply and add.
+/// Always inlined, so it compiles for the instruction set of its caller.
+/// Without the unroll pragmas GCC 12 at -O2 kept `acc` on the stack.
+template <typename V, size_t R, size_t W>
+[[gnu::always_inline]] inline void tile(const double* a, size_t lda,
+                                        const double* b, size_t ldb,
+                                        size_t kdim, double* c, size_t ldc) {
+  constexpr size_t L = sizeof(V) / sizeof(double);
+  V acc[R][W] = {};
   for (size_t k = 0; k < kdim; ++k) {
     const double* bk = b + k * ldb;
-    const double b0 = bk[0], b1 = bk[1], b2 = bk[2], b3 = bk[3];
-    const double x0 = a0[k], x1 = a1[k], x2 = a2[k], x3 = a3[k];
-    c00 += x0 * b0; c01 += x0 * b1; c02 += x0 * b2; c03 += x0 * b3;
-    c10 += x1 * b0; c11 += x1 * b1; c12 += x1 * b2; c13 += x1 * b3;
-    c20 += x2 * b0; c21 += x2 * b1; c22 += x2 * b2; c23 += x2 * b3;
-    c30 += x3 * b0; c31 += x3 * b1; c32 += x3 * b2; c33 += x3 * b3;
+    V bv[W];
+#pragma GCC unroll 16
+    for (size_t w = 0; w < W; ++w) {
+      __builtin_memcpy(&bv[w], bk + w * L, sizeof(V));
+    }
+#pragma GCC unroll 16
+    for (size_t r = 0; r < R; ++r) {
+      const double x = a[r * lda + k];
+#pragma GCC unroll 16
+      for (size_t w = 0; w < W; ++w) acc[r][w] += x * bv[w];
+    }
   }
-  double* r0 = c;
-  double* r1 = r0 + ldc;
-  double* r2 = r1 + ldc;
-  double* r3 = r2 + ldc;
-  r0[0] = c00; r0[1] = c01; r0[2] = c02; r0[3] = c03;
-  r1[0] = c10; r1[1] = c11; r1[2] = c12; r1[3] = c13;
-  r2[0] = c20; r2[1] = c21; r2[2] = c22; r2[3] = c23;
-  r3[0] = c30; r3[1] = c31; r3[2] = c32; r3[3] = c33;
+#pragma GCC unroll 16
+  for (size_t r = 0; r < R; ++r) {
+#pragma GCC unroll 16
+    for (size_t w = 0; w < W; ++w) {
+      __builtin_memcpy(c + r * ldc + w * L, &acc[r][w], sizeof(V));
+    }
+  }
 }
 
-/// C (m x n) = A (m x kdim) * B (kdim x n), all row-major and dense: 4x4
+/// C (m x n) = A (m x kdim) * B (kdim x n), all row-major and dense: R x W
 /// tiles over L2-resident column panels of B, scalar loops on the edges.
-void matmul_local(const double* a, const double* b, double* c, size_t m,
-                  size_t kdim, size_t n) {
+template <typename V, size_t R, size_t W>
+[[gnu::always_inline]] inline void matmul_tiled(const double* a,
+                                                const double* b, double* c,
+                                                size_t m, size_t kdim,
+                                                size_t n) {
+  constexpr size_t kCols = W * sizeof(V) / sizeof(double);
+  static_assert(kPanelCols % kCols == 0, "a panel holds whole tiles");
   for (size_t j0 = 0; j0 < n; j0 += kPanelCols) {
     size_t j1 = std::min(n, j0 + kPanelCols);
     size_t i = 0;
-    for (; i + 4 <= m; i += 4) {
+    for (; i + R <= m; i += R) {
       const double* arows = a + i * kdim;
       double* crows = c + i * n;
       size_t j = j0;
-      for (; j + 4 <= j1; j += 4) {
-        tile4x4(arows, kdim, b + j, n, kdim, crows + j, n);
+      for (; j + kCols <= j1; j += kCols) {
+        tile<V, R, W>(arows, kdim, b + j, n, kdim, crows + j, n);
       }
       for (; j < j1; ++j) {
-        for (size_t r = 0; r < 4; ++r) {
+        for (size_t r = 0; r < R; ++r) {
           crows[r * n + j] = dot_strided(arows + r * kdim, b + j, n, kdim);
         }
       }
@@ -100,6 +116,28 @@ void matmul_local(const double* a, const double* b, double* c, size_t m,
     }
   }
 }
+
+// The three instances. Only these functions carry a target attribute; the
+// vector types never cross a call boundary, so no ABI depends on them.
+void matmul_baseline(const double* a, const double* b, double* c, size_t m,
+                     size_t kdim, size_t n) {
+  matmul_tiled<v2df, 4, 2>(a, b, c, m, kdim, n);
+}
+
+#if defined(__x86_64__)
+[[gnu::target("avx2")]] void matmul_avx2(const double* a, const double* b,
+                                         double* c, size_t m, size_t kdim,
+                                         size_t n) {
+  matmul_tiled<v4df, 6, 2>(a, b, c, m, kdim, n);
+}
+
+[[gnu::target("avx512f")]] void matmul_avx512f(const double* a,
+                                               const double* b, double* c,
+                                               size_t m, size_t kdim,
+                                               size_t n) {
+  matmul_tiled<v8df, 8, 2>(a, b, c, m, kdim, n);
+}
+#endif
 
 /// y (m) = A (m x kdim) * x: four rows at a time, so four independent
 /// ascending-k chains share each x[k] instead of one latency-bound chain.
@@ -144,6 +182,38 @@ void transpose_local(const double* src, size_t lds, double* dst, size_t ldd,
   }
 }
 }  // namespace
+
+// -- the matmul kernel pick -----------------------------------------------------
+
+namespace detail {
+
+std::span<const MatmulKernel> matmul_kernels() {
+#if defined(__x86_64__)
+  static constexpr MatmulKernel kAll[] = {
+      {"sse2", "sse2 4x4", 4, 4, matmul_baseline},
+      {"avx2", "avx2 6x8", 6, 8, matmul_avx2},
+      {"avx512f", "avx512f 8x16", 8, 16, matmul_avx512f},
+  };
+  // How many of kAll this CPU runs: CPUID, read once per process.
+  static const size_t count = [] {
+    __builtin_cpu_init();
+    if (!__builtin_cpu_supports("avx2")) return size_t{1};
+    return __builtin_cpu_supports("avx512f") ? size_t{3} : size_t{2};
+  }();
+#else
+  static constexpr MatmulKernel kAll[] = {
+      {"generic", "generic 4x4", 4, 4, matmul_baseline},
+  };
+  constexpr size_t count = 1;
+#endif
+  return {kAll, count};
+}
+
+const MatmulKernel& matmul_kernel() { return matmul_kernels().back(); }
+
+}  // namespace detail
+
+const char* matmul_kernel_name() { return detail::matmul_kernel().name; }
 
 // -- dimension validation -----------------------------------------------------
 
@@ -471,8 +541,9 @@ DMat matmul(mpi::Comm& comm, const DMat& a, const DMat& b) {
   size_t kdim = a.cols();
 
   if (!a.is_vector() && !c.is_vector()) {
-    matmul_local(a.local().data(), bfull.data(), c.local().data(),
-                 a.layout().count(comm.rank()), kdim, n);
+    detail::matmul_kernel().run(a.local().data(), bfull.data(),
+                                c.local().data(),
+                                a.layout().count(comm.rank()), kdim, n);
     return c;
   }
 

@@ -269,6 +269,11 @@ DMat ew_unary(mpi::Comm& comm, EwUn op, const DMat& a);
 /// allgathered, then each rank computes its C rows locally.
 DMat matmul(mpi::Comm& comm, const DMat& a, const DMat& b);
 
+/// The register tile `matmul` runs on this CPU, e.g. "avx512f 8x16": the
+/// widest the CPU supports, picked once per process (otterc --times prints
+/// it). Every tile gives the same bits.
+const char* matmul_kernel_name();
+
 /// y = A * x with x a distributed vector (paper: ML_matrix_vector_multiply).
 DMat matvec(mpi::Comm& comm, const DMat& a, const DMat& x);
 

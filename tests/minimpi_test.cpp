@@ -289,7 +289,9 @@ TEST(MiniMpi, ScattervDistributesFromRoot) {
     std::vector<double> mine(counts[c.rank()], -1);
     c.scatterv(c.rank() == 0 ? all.data() : nullptr, mine.data(), counts, 0);
     EXPECT_DOUBLE_EQ(mine[0], c.rank() * 10.0);
-    if (c.rank() == 2) EXPECT_DOUBLE_EQ(mine[2], 22.0);
+    if (c.rank() == 2) {
+      EXPECT_DOUBLE_EQ(mine[2], 22.0);
+    }
   });
 }
 

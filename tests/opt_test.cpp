@@ -27,10 +27,6 @@ std::unique_ptr<driver::CompileResult> compile_at(
   return c;
 }
 
-std::string lir_at(const std::string& src, int level) {
-  return dump_lir(compile_at(src, level)->lir);
-}
-
 std::string run_at(const std::string& src, int level, int np) {
   auto c = compile_at(src, level);
   return driver::run_parallel(c->lir, mpi::profile_by_name("ideal"), np)

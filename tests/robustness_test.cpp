@@ -92,7 +92,10 @@ TEST(Diagnostics, MaxErrorsCapsStoredDiagnostics) {
   // Ten statements each with an undefined name; cap at 3.
   std::string src;
   for (int i = 0; i < 10; ++i) {
-    src += "x" + std::to_string(i) + " = missing" + std::to_string(i) + ";\n";
+    // Appended piece by piece: GCC 12 at -O3 flags "x" + std::to_string(i)
+    // with a false -Wrestrict.
+    src.append("x").append(std::to_string(i)).append(" = missing");
+    src.append(std::to_string(i)).append(";\n");
   }
   CompileOptions opts;
   opts.max_errors = 3;
@@ -150,7 +153,7 @@ TEST(Budgets, LirInstructionBudgetDegradesToDiagnostic) {
   opts.budget.max_lir_instrs = 4;
   std::string src;
   for (int i = 0; i < 20; ++i) {
-    src += "m" + std::to_string(i) + " = zeros(2, 2);\n";
+    src.append("m").append(std::to_string(i)).append(" = zeros(2, 2);\n");
   }
   auto c = compile_script(src, {}, opts);
   ASSERT_FALSE(c->ok);

@@ -38,8 +38,12 @@ static_assert(sizeof(SweepParam) == 8, "SweepParam must have no padding bytes");
 
 inline std::string param_name(
     const ::testing::TestParamInfo<SweepParam>& info) {
-  return "P" + std::to_string(info.param.nranks) +
-         (info.param.dist == Dist::RowBlock ? "_block" : "_cyclic");
+  // Appended piece by piece: GCC 12 at -O3 flags "P" + std::to_string(...)
+  // with a false -Wrestrict.
+  std::string name = "P";
+  name += std::to_string(info.param.nranks);
+  name += info.param.dist == Dist::RowBlock ? "_block" : "_cyclic";
+  return name;
 }
 
 class RtSweep : public ::testing::TestWithParam<SweepParam> {

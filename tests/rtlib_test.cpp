@@ -12,6 +12,7 @@
 #include <numeric>
 
 #include "rt_sweep.hpp"
+#include "rtlib/matmul_kernels.hpp"
 #include "support/rng.hpp"
 
 namespace otter::rt {
@@ -25,9 +26,10 @@ using mpi::run_spmd;
 // matmul, matvec and transpose must reproduce the interpreter bit for bit
 // (its i-j-k loop: start at +0.0, add a(i,k) * b(k,j) in ascending k).
 
-/// Extents on both sides of the kernels' edges: the 4-row/4-column register
-/// tile, the 128-column matmul panel and the 32x32 transpose block.
-constexpr size_t kEdgeSizes[] = {1, 3, 4, 5, 8, 13, 130};
+/// Extents on both sides of the kernels' edges: the register tiles' rows
+/// (4, 6 or 8) and columns (4, 8 or 16), the 128-column matmul panel and the
+/// 32x32 transpose block.
+constexpr size_t kEdgeSizes[] = {1, 3, 4, 5, 8, 13, 16, 17, 130};
 constexpr size_t kInnerSizes[] = {1, 7, 129};
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -78,6 +80,21 @@ std::vector<double> ref_matmul(const std::vector<double>& a,
     }
   }
   return c;
+}
+
+/// Operands of C = A * B with values in [-1, 1) and special values placed
+/// so that a skipped term or a fused multiply-add changes C's bits.
+std::pair<std::vector<double>, std::vector<double>> matmul_operands(
+    size_t m, size_t kdim, size_t n) {
+  auto da = rand_data(m * kdim, 1000 * m + kdim);
+  auto db = rand_data(kdim * n, 1000 * n + kdim + 1);
+  // -0.0 * Inf = NaN must reach C(m-1, 0): no zero term is skipped.
+  da[(m - 1) * kdim + kdim - 1] = -0.0;
+  db[(kdim - 1) * n] = kInf;
+  // NaN and -Inf spread along a column and a row of C.
+  db[n - 1] = machine_nan();
+  da[0] = -kInf;
+  return {std::move(da), std::move(db)};
 }
 
 std::string shape_name(size_t m, size_t kdim, size_t n) {
@@ -284,14 +301,7 @@ TEST_P(RtSweep, MatMulMatchesReference) {
   for (size_t M : kEdgeSizes) {
     for (size_t K : kInnerSizes) {
       for (size_t N : kEdgeSizes) {
-        auto da = rand_data(M * K, 1000 * M + K);
-        auto db = rand_data(K * N, 1000 * N + K + 1);
-        // -0.0 * Inf = NaN must reach C(M-1, 0): no zero term is skipped.
-        da[(M - 1) * K + K - 1] = -0.0;
-        db[(K - 1) * N] = kInf;
-        // NaN and -Inf spread along a column and a row of C.
-        db[N - 1] = machine_nan();
-        da[0] = -kInf;
+        auto [da, db] = matmul_operands(M, K, N);
         auto ref = ref_matmul(da, db, M, K, N);
         spmd([&](Comm& c) {
           DMat a = from_full(c, M, K, da, D());
@@ -302,6 +312,48 @@ TEST_P(RtSweep, MatMulMatchesReference) {
       }
     }
   }
+}
+
+// Every register-tile instance this CPU runs (the baseline always does),
+// called directly on shapes on both sides of its row and column edges and
+// of the 128-column panel.
+TEST(MatMulKernels, EveryInstanceMatchesReference) {
+  for (const detail::MatmulKernel& k : detail::matmul_kernels()) {
+    const size_t r = k.rows;
+    const size_t w = k.cols;
+    for (size_t M : {r - 1, r, r + 1, 2 * r + 1}) {
+      for (size_t K : kInnerSizes) {
+        for (size_t N : {w - 1, w, w + 1, size_t{127}, size_t{129},
+                         size_t{130}}) {
+          auto [da, db] = matmul_operands(M, K, N);
+          std::vector<double> c(M * N, 42.0);
+          k.run(da.data(), db.data(), c.data(), M, K, N);
+          expect_same_bits(c, ref_matmul(da, db, M, K, N),
+                           std::string(k.name) + ": " + shape_name(M, K, N));
+        }
+      }
+    }
+  }
+}
+
+TEST(MatMulKernels, PicksTheWidestListed) {
+  const auto all = detail::matmul_kernels();
+  ASSERT_FALSE(all.empty());
+  EXPECT_EQ(&detail::matmul_kernel(), &all.back());
+  EXPECT_STREQ(matmul_kernel_name(), all.back().name);
+  for (size_t i = 1; i < all.size(); ++i) {
+    EXPECT_GT(all[i].rows * all[i].cols, all[i - 1].rows * all[i - 1].cols)
+        << all[i].name;
+  }
+#if defined(__x86_64__)
+  // The list is exactly what this CPU supports.
+  std::vector<std::string> want{"sse2"};
+  if (__builtin_cpu_supports("avx2")) want.emplace_back("avx2");
+  if (__builtin_cpu_supports("avx512f")) want.emplace_back("avx512f");
+  std::vector<std::string> got;
+  for (const detail::MatmulKernel& k : all) got.emplace_back(k.isa);
+  EXPECT_EQ(got, want);
+#endif
 }
 
 TEST_P(RtSweep, MatMulInnerMismatchThrows) {

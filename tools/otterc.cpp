@@ -14,8 +14,9 @@
 //   --dist=block|cyclic    data-distribution strategy (default block)
 //   --no-peephole          disable the peephole pass (paper pass 6)
 //   --seed=N               seed for rand (default 1)
-//   --times                print per-rank virtual times, comm ops and
-//                          minor page faults after the run
+//   --times                print the matmul kernel in use, then per-rank
+//                          virtual times, comm ops and minor page faults
+//                          after the run
 //   --fault-plan=SPEC      deterministic fault injection, e.g.
 //                          "seed=42,drop=0.1,crash=2@7" (see minimpi/fault.hpp)
 //   --timeout=SECS         watchdog deadline for a blocked rank (default 30)
@@ -90,6 +91,7 @@
 #include "codegen/emit.hpp"
 #include "driver/pipeline.hpp"
 #include "interp/value.hpp"
+#include "rtlib/dmatrix.hpp"
 #include "service/client.hpp"
 #include "support/governor.hpp"
 #include "support/json.hpp"
@@ -251,9 +253,11 @@ std::string dirname_of(const std::string& path) {
   return slash == std::string::npos ? std::string(".") : path.substr(0, slash);
 }
 
-/// The --times report: each rank's virtual time, the communication ops it
-/// completed, and the minor page faults its thread took.
+/// The --times report: the matmul kernel this process picked, then each
+/// rank's virtual time, the communication ops it completed, and the minor
+/// page faults its thread took.
 void print_rank_times(const otter::mpi::RunResult& times) {
+  std::cerr << "rtlib matmul: " << otter::rt::matmul_kernel_name() << '\n';
   for (size_t r = 0; r < times.vtimes.size(); ++r) {
     std::cerr << "rank " << r << " vtime " << times.vtimes[r] << "s, "
               << times.ops[r] << " comm ops, " << times.minor_faults[r]
