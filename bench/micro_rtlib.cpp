@@ -57,6 +57,33 @@ void BM_MatMul(benchmark::State& state) {
 }
 BENCHMARK(BM_MatMul)->Arg(64)->Arg(128)->Arg(256)->Arg(384);
 
+/// rt::matmul of m x 384 by 384 x n (args m, n): shapes that are not whole
+/// register tiles, so the edge tiles set the time. 12 and 55 rows are below
+/// or past an 8-row tile (55 is transclos's local block at np = 7); 8 and
+/// 15 columns are narrower than a 16-column tile.
+void BM_MatMulEdge(benchmark::State& state) {
+  const size_t m = static_cast<size_t>(state.range(0));
+  const size_t n = static_cast<size_t>(state.range(1));
+  const size_t k = 384;
+  spmd1(
+      state,
+      [&](mpi::Comm& comm) {
+        return std::vector<DMat>{rnd(comm, m, k), rnd(comm, k, n, m * k)};
+      },
+      [](mpi::Comm& comm, const std::vector<DMat>& in) {
+        DMat c = rt::matmul(comm, in[0], in[1]);
+        benchmark::DoNotOptimize(c.local().data());
+      });
+  const double dm = static_cast<double>(m), dk = static_cast<double>(k),
+               dn = static_cast<double>(n);
+  report(state, 2 * dm * dk * dn, 8 * (dm * dk + dk * dn + dm * dn));
+}
+BENCHMARK(BM_MatMulEdge)
+    ->Args({12, 384})
+    ->Args({55, 384})
+    ->Args({384, 8})
+    ->Args({384, 15});
+
 /// One register-tile instance alone on local n x n arrays, without the
 /// allgather copy and result allocation of BM_MatMul: one benchmark per
 /// instance this CPU runs, named BM_MatMulKernel/<isa>/<n>.

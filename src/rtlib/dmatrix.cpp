@@ -36,7 +36,7 @@ constexpr size_t kPanelCols = 128;
 /// 8 KiB per side, so a block's source rows and target columns share L1.
 constexpr size_t kTransposeTile = 32;
 
-/// sum_k a[k] * b[k * ldb] in the interpreter's order: the scalar edge loop.
+/// sum_k a[k] * b[k * ldb] in the interpreter's order.
 double dot_strided(const double* a, const double* b, size_t ldb, size_t kdim) {
   double acc = 0.0;
   for (size_t k = 0; k < kdim; ++k) acc += a[k] * b[k * ldb];
@@ -44,10 +44,26 @@ double dot_strided(const double* a, const double* b, size_t ldb, size_t kdim) {
 }
 
 // GCC vector types: each lane is one element of C, so the lane arithmetic is
-// exactly the scalar loop's.
+// exactly the scalar loop's. A plain double is the one-lane case.
 typedef double v2df __attribute__((vector_size(16)));
 typedef double v4df __attribute__((vector_size(32)));
 typedef double v8df __attribute__((vector_size(64)));
+
+/// The vector of half V's lanes, for the column edge.
+template <typename V>
+struct Half;
+template <>
+struct Half<v8df> {
+  using type = v4df;
+};
+template <>
+struct Half<v4df> {
+  using type = v2df;
+};
+template <>
+struct Half<v2df> {
+  using type = double;
+};
 
 /// C(0..R-1, 0..W*L-1) = A(0..R-1, :) * B(:, 0..W*L-1) as an R x W register
 /// tile of L-lane vectors V: R * W accumulators, W vectors of B's row k and
@@ -84,36 +100,48 @@ template <typename V, size_t R, size_t W>
   }
 }
 
+/// Columns [j, j1) of R rows of C: R x W tiles, then the column edge in
+/// one-vector tiles of ever fewer lanes, down to one double.
+template <typename V, size_t R, size_t W>
+[[gnu::always_inline]] inline void row_strip(const double* a, const double* b,
+                                             double* c, size_t kdim, size_t n,
+                                             size_t j, size_t j1) {
+  constexpr size_t L = sizeof(V) / sizeof(double);
+  for (; j + W * L <= j1; j += W * L) {
+    tile<V, R, W>(a, kdim, b + j, n, kdim, c + j, n);
+  }
+  if constexpr (W > 1) {
+    row_strip<V, R, 1>(a, b, c, kdim, n, j, j1);
+  } else if constexpr (L > 1) {
+    row_strip<typename Half<V>::type, R, 1>(a, b, c, kdim, n, j, j1);
+  }
+}
+
+/// Rows [i, m) of C over columns [j0, j1): strips of R rows, then the row
+/// edge in strips of ever fewer rows, halving down to one.
+template <typename V, size_t R, size_t W>
+[[gnu::always_inline]] inline void row_strips(const double* a, const double* b,
+                                              double* c, size_t m, size_t kdim,
+                                              size_t n, size_t i, size_t j0,
+                                              size_t j1) {
+  for (; i + R <= m; i += R) {
+    row_strip<V, R, W>(a + i * kdim, b, c + i * n, kdim, n, j0, j1);
+  }
+  if constexpr (R > 1) row_strips<V, R / 2, W>(a, b, c, m, kdim, n, i, j0, j1);
+}
+
 /// C (m x n) = A (m x kdim) * B (kdim x n), all row-major and dense: R x W
-/// tiles over L2-resident column panels of B, scalar loops on the edges.
+/// tiles over L2-resident column panels of B, narrower tiles on the edges.
 template <typename V, size_t R, size_t W>
 [[gnu::always_inline]] inline void matmul_tiled(const double* a,
                                                 const double* b, double* c,
                                                 size_t m, size_t kdim,
                                                 size_t n) {
-  constexpr size_t kCols = W * sizeof(V) / sizeof(double);
-  static_assert(kPanelCols % kCols == 0, "a panel holds whole tiles");
+  static_assert(kPanelCols % (W * sizeof(V) / sizeof(double)) == 0,
+                "a panel holds whole tiles");
   for (size_t j0 = 0; j0 < n; j0 += kPanelCols) {
-    size_t j1 = std::min(n, j0 + kPanelCols);
-    size_t i = 0;
-    for (; i + R <= m; i += R) {
-      const double* arows = a + i * kdim;
-      double* crows = c + i * n;
-      size_t j = j0;
-      for (; j + kCols <= j1; j += kCols) {
-        tile<V, R, W>(arows, kdim, b + j, n, kdim, crows + j, n);
-      }
-      for (; j < j1; ++j) {
-        for (size_t r = 0; r < R; ++r) {
-          crows[r * n + j] = dot_strided(arows + r * kdim, b + j, n, kdim);
-        }
-      }
-    }
-    for (; i < m; ++i) {
-      for (size_t j = j0; j < j1; ++j) {
-        c[i * n + j] = dot_strided(a + i * kdim, b + j, n, kdim);
-      }
-    }
+    row_strips<V, R, W>(a, b, c, m, kdim, n, 0, j0,
+                        std::min(n, j0 + kPanelCols));
   }
 }
 
