@@ -14,16 +14,15 @@ namespace {
 using namespace otter;
 using namespace otter::bench;
 
+/// Runs cg's -O0 LIR, with only the peephole pass applied when `peephole`.
 double run_cg(const std::string& src, bool peephole,
               const mpi::MachineProfile& m, int p) {
-  lower::LowerOptions lopts;
-  lopts.peephole = peephole;
-  auto compiled =
-      driver::compile_script(src, {}, {.lower = lopts, .opt = {.level = 0}});
+  auto compiled = driver::compile_script(src, {}, {.opt = {.level = 0}});
   if (!compiled->ok) {
     std::cerr << compiled->diags.to_string();
     std::exit(1);
   }
+  if (peephole) lower::run_peephole(compiled->lir);
   if (codegen::CompiledProgram::toolchain_available()) {
     std::string error;
     auto program = codegen::CompiledProgram::build(compiled->lir, &error);

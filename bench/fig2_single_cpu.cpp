@@ -1,8 +1,8 @@
 // Reproduces Figure 2: relative single-CPU performance of
 //   * The MathWorks interpreter (our baseline interpreter),
-//   * the MATCOM compiler (stand-in: Otter with the peephole pass disabled
-//     and statement-at-a-time translation — a sequential commercial
-//     compiler design point), and
+//   * the MATCOM compiler (stand-in: Otter at -O0, statement-at-a-time
+//     translation with no peephole pass and no optimizer — a sequential
+//     commercial compiler design point), and
 //   * the Otter compiler (full pipeline)
 // on the four benchmark applications. The paper reports Otter beating the
 // interpreter on all four scripts and splitting 2-2 against MATCOM.
@@ -16,12 +16,10 @@ using namespace otter::bench;
 /// Single-CPU seconds of the compiled script (1 rank, ideal network = pure
 /// compute time).
 double compiled_1cpu(const std::string& source, bool full_pipeline) {
+  // The MATCOM stand-in translates statement-at-a-time (-O0). The Otter
+  // column runs the default pipeline (-O2, peephole first).
   driver::CompileOptions copts;
-  // The MATCOM stand-in translates statement-at-a-time: no peephole
-  // rewriting and no LIR optimizer. The Otter column runs the default
-  // pipeline (peephole + -O2).
-  copts.lower.peephole = full_pipeline;
-  if (!full_pipeline) copts.opt.level = 0;
+  if (!full_pipeline) copts = {.opt = {.level = 0}};
   auto compiled = driver::compile_script(source, {}, copts);
   if (!compiled->ok) {
     std::cerr << "fig2: compile failed:\n" << compiled->diags.to_string();

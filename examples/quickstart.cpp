@@ -5,8 +5,8 @@
 //
 // The public API used here:
 //   driver::compile_script  — the whole compiler pipeline (parse, resolve,
-//                             SSA + type inference, lowering, peephole,
-//                             and the -O2 optimizer)
+//                             SSA + type inference, lowering, and the -O2
+//                             optimizer, peephole first)
 //   driver::run_parallel    — SPMD execution on a virtual-time machine model
 //   mpi::meiko_cs2 et al.   — the paper's three machine profiles
 #include <iostream>

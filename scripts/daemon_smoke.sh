@@ -7,6 +7,7 @@
 #   * a crashing script (deterministic --fault-plan) gets a structured
 #     runtime_error, and after enough strikes the E0010 quarantine;
 #   * an oversized script is rejected with E0012 without being compiled;
+#   * otterc -O1, a level that no longer exists, is a usage error (64);
 #   * a concurrent flood sheds excess requests with E0008 while the server
 #     keeps answering pings;
 #   * warm-cache hits show up in the stats counters;
@@ -109,6 +110,12 @@ big="${tmp}/big.m"
 "${otterc}" "${big}" --remote="${sock}" 2>"${tmp}/big.err"
 check "oversized script is rejected as a bad request" 64 $?
 expect_grep "oversize rejection carries E0012" "E0012" "${tmp}/big.err"
+
+# -- removed optimizer level ---------------------------------------------------
+# -O0 and -O2 are the only levels: -O1 is a usage error, and no request
+# reaches the daemon.
+"${otterc}" "${good}" -O1 --remote="${sock}" >/dev/null 2>&1
+check "otterc -O1 is a usage error" 64 $?
 
 # -- overload shedding -------------------------------------------------------
 # One worker, queue depth 1: firing 8 heavyweight requests at once MUST shed

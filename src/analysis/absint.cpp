@@ -928,7 +928,6 @@ bool is_comm_op(LOp op) {
     case LOp::DotProd:
     case LOp::Reduce:
     case LOp::Colwise:
-    case LOp::Norm:
     case LOp::Trapz:
     case LOp::GetElem:
     case LOp::ExtractRowOp:

@@ -299,7 +299,6 @@ class Linter {
     switch (op) {
       case LOp::Reduce:
       case LOp::DotProd:
-      case LOp::Norm:
       case LOp::Trapz:
       case LOp::Colwise:
         return "one allreduce (~2*log2(P) messages)";
@@ -333,7 +332,6 @@ class Linter {
       case LOp::DotProd:
       case LOp::Reduce:
       case LOp::Colwise:
-      case LOp::Norm:
       case LOp::Trapz:
       case LOp::GetElem:
       case LOp::ExtractRowOp:

@@ -227,7 +227,6 @@ class Verifier {
         }
         break;
       case LOp::Reduce:
-      case LOp::Norm:
         want_sdst(in);
         if (want_arity(in, 1)) want_mat(in, 0, defined);
         break;

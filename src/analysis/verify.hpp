@@ -1,6 +1,6 @@
 // --verify-lir: structural self-check of the lowered IR.
 //
-// Lowering (paper passes 4-6) and the peephole optimizer promise the
+// Lowering (paper passes 4 and 5) and the optimizer (pass 6 on) promise the
 // executor and the C backend a small set of invariants; this verifier
 // enforces them after every compile so miscompiles surface as located
 // E6xxx diagnostics instead of wrong answers or crashes downstream:

@@ -281,8 +281,6 @@ class Emitter {
         line(in.dst + " = " + call + ";");
         return;
       }
-      case LOp::Norm:
-        line(in.sdst + " = rt::norm2(ctx.comm, " + sop(in.args[0]) + ");");
         return;
       case LOp::Trapz:
         if (in.args.size() == 2) {

@@ -39,9 +39,8 @@ std::unique_ptr<CompileResult> compile_script(const std::string& source,
   r->lir = lower::lower_program(r->prog, r->inf, r->diags, lopts);
   // Abstract interpretation runs on the *pre-optimizer* program: findings
   // keep their original source locations no matter what the optimizer
-  // rewrites later, and guard proofs feed the -O2 elimination pass.
-  bool elim = opts.opt.level >= 2 && opts.opt.guard_elim;
-  if (!r->diags.has_errors() && (opts.analyze || elim)) {
+  // rewrites later, and guard proofs feed the guard elimination pass.
+  if (!r->diags.has_errors() && (opts.analyze || opts.opt.level > 0)) {
     r->absint = analysis::run_absint(r->prog, r->inf, r->lir);
   }
   if (!r->diags.has_errors() && opts.opt.level > 0) {

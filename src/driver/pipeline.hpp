@@ -1,6 +1,7 @@
 // Whole-compiler pipeline: parse → resolve (pass 2) → SSA + inference
-// (pass 3) → lowering with expression rewriting, owner guards and peephole
-// (passes 4–6) → optimizer → execution (bytecode VM, or C emission).
+// (pass 3) → lowering with expression rewriting and owner guards (passes 4
+// and 5) → optimizer, peephole (pass 6) first → execution (bytecode VM, or
+// C emission).
 #pragma once
 
 #include <memory>
@@ -26,7 +27,7 @@ struct CompileResult {
   std::string preopt_lir;         ///< dump before run_opt (keep_preopt only)
   lower::OptReport opt_report;    ///< what the optimizer did (empty at -O0)
   /// Abstract-interpretation results (guard proofs + W3208-W3210 findings).
-  /// Populated when `analyze` is set or guard elimination ran at -O2; the
+  /// Populated when `analyze` is set or the optimizer ran; the
   /// pipeline never reports the findings itself — tools decide via
   /// analysis::report_absint.
   analysis::AbsintResult absint;
@@ -36,6 +37,8 @@ struct CompileResult {
 /// Full compile configuration: pass options plus the crash-safety knobs
 /// (resource budgets, strict-inference mode, and the diagnostic cap).
 struct CompileOptions {
+  /// Unused: compile_script sets LowerOptions' only field, the budget
+  /// gate, from `budget` below.
   lower::LowerOptions lower{};
   lower::OptOptions opt{};   ///< optimizer pipeline; level 2 is the default
   CompileBudget budget{};    ///< resource limits shared by every pass
@@ -49,9 +52,9 @@ struct CompileOptions {
 
 /// Compiles a MATLAB script through every pass. `loader` supplies user
 /// M-files (see dir_loader). The default options are the production
-/// pipeline (-O2, what otterc and otterd run); pass `{.opt = {.level = 0}}`
-/// to inspect raw lowering output. Check `->ok` / `->diags` before using
-/// `lir`.
+/// pipeline (-O2, what otterc, otterd and perfbench run); pass
+/// `{.opt = {.level = 0}}` for the statement-at-a-time lowering output.
+/// Check `->ok` / `->diags` before using `lir`.
 std::unique_ptr<CompileResult> compile_script(
     const std::string& source, const sema::MFileLoader& loader = {},
     const CompileOptions& opts = {});

@@ -15,7 +15,7 @@
 #include <unordered_set>
 #include <vector>
 
-#include "lower/lower.hpp"
+#include "lower/opt.hpp"
 
 namespace otter::lower {
 

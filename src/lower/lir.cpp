@@ -178,7 +178,6 @@ void dump_instr(const LInstr& in, std::ostream& os, int indent) {
     case LOp::OuterProd: os << in.dst << " = "; args("ML_outer_product"); break;
     case LOp::TransposeOp: os << in.dst << " = "; args("ML_transpose"); break;
     case LOp::DotProd: os << in.sdst << " = "; args("ML_dot"); break;
-    case LOp::Norm: os << in.sdst << " = "; args("ML_norm"); break;
     case LOp::Trapz: os << in.sdst << " = "; args("ML_trapz"); break;
     case LOp::Reduce:
       os << in.sdst << " = ML_reduce_" << red_name(in.red) << '(';
@@ -338,7 +337,6 @@ const char* lop_name(LOp op) {
     case LOp::Reduce: return "reduce";
     case LOp::ReduceGroup: return "reduce-group";
     case LOp::Colwise: return "colwise";
-    case LOp::Norm: return "norm";
     case LOp::Trapz: return "trapz";
     case LOp::GetElem: return "get-elem";
     case LOp::SetElem: return "set-elem";
@@ -445,7 +443,6 @@ bool removable(const LInstr& in) {
     case LOp::DotProd:
     case LOp::Reduce:
     case LOp::Colwise:
-    case LOp::Norm:
     case LOp::Trapz:
     case LOp::GetElem:
     case LOp::ExtractRowOp:

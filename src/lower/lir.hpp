@@ -85,11 +85,10 @@ enum class LOp {
   VecMat,        // dst = ML_vector_matrix_multiply(x, a)
   OuterProd,     // dst = ML_outer_product(col, row)
   TransposeOp,   // dst = ML_transpose(a)
-  DotProd,       // sdst = ML_dot(a, b)              (peephole result)
+  DotProd,       // sdst = ML_dot(a, b)              (dot, norm, peephole)
   Reduce,        // sdst = ML_reduce_{sum,min,max,prod,mean}(a)
   ReduceGroup,   // [d1, …] = ML_reduce_group(a1, …)  (coalescing result)
   Colwise,       // dst = ML_colwise_{sum,mean,min,max}(a)
-  Norm,          // sdst = ML_norm(a)
   Trapz,         // sdst = ML_trapz(a) / ML_trapz_xy(a, b)
   GetElem,       // sdst = ML_broadcast(a, i, j)      (paper's remote read)
   SetElem,       // if (ML_owner(dst,i,j)) store      (paper pass 5 guard)
@@ -219,8 +218,7 @@ bool any_tree_has_rand(const LInstr& in);
 bool removable(const LInstr& in);
 
 /// All names read anywhere in a body (recursively), rmw targets included —
-/// the conservative live set applied at break/continue/return, and the "is
-/// this definition observable" set for the optimizer's sweep.
+/// the conservative live set DSE applies at break/continue/return.
 void collect_ever_read(const std::vector<LInstrPtr>& body, NameSet& out);
 
 }  // namespace otter::lower

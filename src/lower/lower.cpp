@@ -54,8 +54,6 @@ class Lowerer {
     }
     types_ = nullptr;
     cur_body_ = nullptr;
-    if (opts_.peephole) run_peephole(out);
-    if (opts_.dse) run_dse(out);
     return out;
   }
 
@@ -319,7 +317,7 @@ class Lowerer {
 
   /// Scalar-valued (1x1) binary expression with matrix operands, e.g. the
   /// inner product x' * y: evaluate through the run-time library, then read
-  /// element 0 replicated. The peephole pass later folds the transpose +
+  /// element 0 replicated. At -O2 the peephole pass folds the transpose +
   /// multiply + read sequence into a single ML_dot call.
   LExprPtr lower_matrix_to_scalar(const Expr& e) {
     std::string m;
@@ -464,12 +462,14 @@ class Lowerer {
         if (ty(*e.args[0]).is_scalar()) {
           return lun(EwUn::Abs, arg_scalar(0));
         }
+        // norm(v) = sqrt(dot(v, v)): one allreduce, no call of its own.
         std::string a = lower_matrix(*e.args[0]);
         std::string t = fresh_temp(false);
-        LInstr& in = emit(LOp::Norm, e.loc);
+        LInstr& in = emit(LOp::DotProd, e.loc);
         in.sdst = t;
         in.args.push_back(mat_operand(a));
-        return lsvar(t);
+        in.args.push_back(mat_operand(a));
+        return lun(EwUn::Sqrt, lsvar(t));
       }
       case Builtin::Trapz: {
         std::vector<LOperand> ops;

@@ -1,4 +1,6 @@
-// AST → LIR lowering (paper passes 4, 5 and 6).
+// AST → LIR lowering (paper passes 4 and 5). Lowering translates one
+// statement at a time and runs no optimization: the peephole pass (paper
+// pass 6) and every later pass run in run_opt (lower/opt.hpp).
 #pragma once
 
 #include "frontend/ast.hpp"
@@ -10,30 +12,14 @@
 namespace otter::lower {
 
 struct LowerOptions {
-  /// Run the paper's sixth (peephole) pass: fold run-time-call sequences
-  /// such as transpose + multiply + element-read into single ML_dot calls.
-  /// Disabled by the peephole ablation benchmark.
-  bool peephole = true;
   /// Shared per-compilation resource gate; lowering stops emitting once the
   /// LIR instruction or wall-clock budget is exhausted. May be null.
   BudgetGate* budget = nullptr;
-  /// Liveness-driven dead-statement elimination over the lowered IR.
-  /// Off by default so golden-LIR tests see every emitted instruction;
-  /// otterc enables it for user-facing compiles.
-  bool dse = false;
 };
 
 /// Lowers the resolved, inferred program into LIR. Reports constructs
 /// outside the compiler's subset through diags.
 LProgram lower_program(Program& prog, const sema::InferResult& inf,
                        DiagEngine& diags, const LowerOptions& opts = {});
-
-/// The peephole pass in isolation (exposed for tests and the ablation).
-void run_peephole(LProgram& prog);
-
-/// Liveness-driven dead-statement elimination in isolation (exposed for
-/// tests). Removes pure instructions whose results no later statement or
-/// observable output can read. Returns the number of instructions removed.
-size_t run_dse(LProgram& prog);
 
 }  // namespace otter::lower

@@ -41,7 +41,6 @@ bool is_comm_read(LOp op) {
     case LOp::DotProd:
     case LOp::Reduce:
     case LOp::Colwise:
-    case LOp::Norm:
     case LOp::Trapz:
     case LOp::GetElem:
     case LOp::ExtractRowOp:
@@ -680,8 +679,8 @@ class Licm {
 /// reasoning all lives in analysis/absint.cpp.
 class GuardElim {
  public:
-  GuardElim(OptReport& rep, const std::vector<GuardProof>& proofs, bool del)
-      : rep_(rep), proofs_(proofs), delete_(del) {}
+  GuardElim(OptReport& rep, const std::vector<GuardProof>& proofs)
+      : rep_(rep), proofs_(proofs) {}
 
   void run(std::vector<LInstrPtr>& body) { walk(body); }
 
@@ -707,7 +706,7 @@ class GuardElim {
       if (!in.body.empty()) walk(in.body);
       if (in.op != LOp::ShapeGuard) continue;
       ++rep_.guards_seen;
-      if (delete_ && proven(in)) {
+      if (proven(in)) {
         rep_.guards_eliminated.push_back({in.loc, builtin_of(in)});
         body.erase(body.begin() + static_cast<ptrdiff_t>(i));
         --i;
@@ -717,50 +716,7 @@ class GuardElim {
 
   OptReport& rep_;
   const std::vector<GuardProof>& proofs_;
-  bool delete_;
 };
-
-// -- unread-definition sweep --------------------------------------------------
-
-/// Conservative cleanup: removes pure definitions whose target no
-/// instruction in the whole scope ever reads (weaker than DSE's positional
-/// liveness, so user-visible variables that are merely printed later always
-/// survive — printing reads them). Iterated to a fixpoint so alias chains
-/// freed by copy propagation unravel completely.
-size_t sweep_body(std::vector<LInstrPtr>& body, const Set& reads,
-                  const Set& protect) {
-  size_t removed = 0;
-  for (size_t i = body.size(); i-- > 0;) {
-    LInstr& in = *body[i];
-    for (LIfArm& arm : in.arms) removed += sweep_body(arm.body, reads, protect);
-    removed += sweep_body(in.body, reads, protect);
-    bool defines = !in.dst.empty() || !in.sdst.empty();
-    if (!defines || !removable(in)) continue;
-    if (!in.dst.empty() &&
-        (reads.contains(in.dst) || protect.contains(in.dst))) {
-      continue;
-    }
-    if (!in.sdst.empty() &&
-        (reads.contains(in.sdst) || protect.contains(in.sdst))) {
-      continue;
-    }
-    body.erase(body.begin() + static_cast<ptrdiff_t>(i));
-    ++removed;
-  }
-  return removed;
-}
-
-size_t sweep_scope(std::vector<LInstrPtr>& body, const Set& protect) {
-  size_t removed = 0;
-  for (int round = 0; round < 8; ++round) {
-    Set reads;
-    collect_ever_read(body, reads);
-    size_t got = sweep_body(body, reads, protect);
-    removed += got;
-    if (got == 0) break;
-  }
-  return removed;
-}
 
 // -- reduction coalescing -----------------------------------------------------
 
@@ -840,26 +796,31 @@ class Coalescer {
 OptReport run_opt(LProgram& prog, const OptOptions& opts) {
   OptReport rep;
   if (opts.level <= 0) return rep;
-  bool full = opts.level >= 2;
+  run_peephole(prog);
   auto optimize_scope = [&](std::vector<LInstrPtr>& body, const Set& protect) {
-    if (opts.copyprop) CopyProp(rep).run(body);
-    if (full && opts.cse) CommCse(rep).run(body);
-    if (full && opts.fuse) Fuser(rep, body, protect).run();
-    if (full && opts.licm) Licm(rep).run(body);
-    // Guard elimination runs before the final copy-prop/sweep so a guard
+    CopyProp(rep).run(body);
+    CommCse(rep).run(body);
+    Fuser(rep, body, protect).run();
+    Licm(rep).run(body);
+    // Guard elimination runs before the final copy-prop and DSE so a guard
     // whose matrix becomes otherwise-unread frees that definition too.
-    GuardElim(rep, opts.guard_proofs, full && opts.guard_elim).run(body);
-    if (opts.copyprop) CopyProp(rep).run(body);
-    rep.swept += sweep_scope(body, protect);
-    if (full) Coalescer(rep).run(body);
+    GuardElim(rep, opts.guard_proofs).run(body);
+    CopyProp(rep).run(body);
   };
-  Set script_protect;
-  optimize_scope(prog.script, script_protect);
+  optimize_scope(prog.script, {});
   for (LFunction& fn : prog.functions) {
     Set outs;
     for (const LVarDecl& d : fn.outs) outs.insert(d.name);
     optimize_scope(fn.body, outs);
   }
+  // One DSE pass settles loop liveness before it removes anything, so it
+  // keeps a definition whose only reader is a dead statement in a loop:
+  // repeat until a pass removes nothing.
+  for (size_t got = run_dse(prog); got > 0; got = run_dse(prog)) {
+    rep.swept += got;
+  }
+  Coalescer(rep).run(prog.script);
+  for (LFunction& fn : prog.functions) Coalescer(rep).run(fn.body);
   return rep;
 }
 

@@ -16,7 +16,7 @@
 // Each pattern fires only when the transposed temporary has no other use.
 #include <unordered_map>
 
-#include "lower/lower.hpp"
+#include "lower/opt.hpp"
 
 namespace otter::lower {
 

@@ -1129,13 +1129,6 @@ double trapz_xy(mpi::Comm& comm, const DMat& x, const DMat& y) {
   return comm.allreduce_scalar(acc, mpi::Comm::ReduceOp::Sum);
 }
 
-double norm2(mpi::Comm& comm, const DMat& v) {
-  if (!v.is_vector()) fail("norm2: expected a vector");
-  double acc = 0.0;
-  for (double x : v.local()) acc += x * x;
-  return std::sqrt(comm.allreduce_scalar(acc, mpi::Comm::ReduceOp::Sum));
-}
-
 DMat load_matrix(mpi::Comm& comm, const std::string& path, Dist dist) {
   // Rank 0 coordinates I/O (paper assumption 5), then broadcasts shape and
   // contents; every rank keeps its slice.

@@ -346,9 +346,6 @@ void assign_slice(mpi::Comm& comm, DMat& x, size_t lo, size_t hi,
 double trapz(mpi::Comm& comm, const DMat& y);
 double trapz_xy(mpi::Comm& comm, const DMat& x, const DMat& y);
 
-/// Vector 2-norm.
-double norm2(mpi::Comm& comm, const DMat& v);
-
 /// Loads a plain-text matrix file (rank 0 reads and broadcasts — the paper's
 /// "one processor coordinates all I/O operations"). The compiler inferred
 /// type/rank from the same file at compile time (paper pass 3).

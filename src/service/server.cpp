@@ -2,7 +2,12 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
+#include <cstdint>
 #include <exception>
+#include <limits>
+#include <optional>
+#include <string_view>
 
 #include "driver/pipeline.hpp"
 #include "minimpi/fault.hpp"
@@ -59,6 +64,25 @@ std::string first_error_code(const DiagEngine& diags) {
     if (d.severity == DiagSeverity::Error && !d.code.empty()) return d.code;
   }
   return "";
+}
+
+/// Reads integer request field `key`; absent, or not a number, reads as
+/// `dflt`. A non-integral value or one outside [lo, hi] reads as nullopt,
+/// checked before any conversion: converting a double past T's range is
+/// undefined behaviour.
+template <typename T>
+std::optional<T> integer_field(const json::JValue& req, std::string_view key,
+                               T dflt, T lo, T hi) {
+  const json::JValue* v = req.get(key);
+  if (v == nullptr || !v->is_number()) return dflt;
+  const double d = v->as_number();
+  // `< hi + 1` rather than `<= hi`: UINT64_MAX rounds up to 2^64 as a
+  // double, and 2^64 itself is out of range.
+  if (!(d >= static_cast<double>(lo) && d < static_cast<double>(hi) + 1.0) ||
+      std::trunc(d) != d) {
+    return std::nullopt;
+  }
+  return static_cast<T>(d);
 }
 
 double seconds_until(std::chrono::steady_clock::time_point deadline) {
@@ -294,19 +318,25 @@ json::JValue Service::handle_script(
                           std::to_string(cfg_.max_script_bytes) + ")");
   }
 
-  const int np = static_cast<int>(req.get_number("np", 1));
-  if (np < 1 || np > cfg_.max_np) {
+  const std::optional<int> np = integer_field(req, "np", 1, 1, cfg_.max_np);
+  if (!np) {
     return error_response(&req, "bad_request", "E0012",
                           "request exceeds the service admission limits: np=" +
-                              std::to_string(np) + " (limit 1.." +
+                              req.get("np")->dump() + " (limit 1.." +
                               std::to_string(cfg_.max_np) + ")");
   }
-  const int opt_level =
-      static_cast<int>(req.get_number("opt_level", 2));
-  if (opt_level < 0 || opt_level > 2) {
+  const std::optional<int> opt_level = integer_field(req, "opt_level", 2, 0, 2);
+  if (!opt_level || *opt_level == 1) {
     return error_response(&req, "bad_request", "E0011",
-                          "malformed service request: opt_level must be 0, 1 "
+                          "malformed service request: opt_level must be 0 "
                           "or 2");
+  }
+  const std::optional<uint64_t> rand_seed = integer_field<uint64_t>(
+      req, "rand_seed", 1, 0, std::numeric_limits<uint64_t>::max());
+  if (!rand_seed) {
+    return error_response(&req, "bad_request", "E0011",
+                          "malformed service request: \"rand_seed\" must be "
+                          "an integer in 0..2^64-1");
   }
   const std::string machine = req.get_string("machine", "ideal");
   const bool strict_infer = req.get_bool("strict_infer", false);
@@ -342,8 +372,9 @@ json::JValue Service::handle_script(
       mem_mb >= 0 ? static_cast<uint64_t>(mem_mb * 1024.0 * 1024.0)
                   : cfg_.default_mem_bytes;
 
-  const int retries = static_cast<int>(req.get_number("retries", 0));
-  if (retries < 0 || retries > cfg_.max_retries) {
+  const std::optional<int> retries =
+      integer_field(req, "retries", 0, 0, cfg_.max_retries);
+  if (!retries) {
     return error_response(&req, "bad_request", "E0011",
                           "malformed service request: \"retries\" must be in "
                           "0.." + std::to_string(cfg_.max_retries));
@@ -374,7 +405,8 @@ json::JValue Service::handle_script(
   // bare [A-Za-z0-9._-] name (no separators, no dot-dot) keeps requests
   // from escaping it.
   const std::string ckpt_name = req.get_string("checkpoint_dir", "");
-  const int ckpt_interval = static_cast<int>(req.get_number("checkpoint", 16));
+  const std::optional<int> ckpt_interval =
+      integer_field(req, "checkpoint", 16, 1, 1000000);
   const bool ckpt_resume = req.get_bool("resume", false);
   std::string ckpt_dir;
   if (!ckpt_name.empty() || ckpt_resume) {
@@ -395,7 +427,7 @@ json::JValue Service::handle_script(
                             "malformed service request: \"checkpoint_dir\" "
                             "must be a bare [A-Za-z0-9._-] name");
     }
-    if (ckpt_interval < 1 || ckpt_interval > 1000000) {
+    if (!ckpt_interval) {
       return error_response(&req, "bad_request", "E0011",
                             "malformed service request: \"checkpoint\" "
                             "interval must be in 1..1000000 statements");
@@ -425,12 +457,12 @@ json::JValue Service::handle_script(
   }
 
   // ---- compile (or pull the artifact out of the cache) ----------------
-  const std::string key = artifact_key(hash, opt_level, machine, strict_infer);
+  const std::string key = artifact_key(hash, *opt_level, machine, strict_infer);
   std::shared_ptr<const Artifact> art = cache_.lookup(key);
   const bool cache_hit = art != nullptr;
   if (!cache_hit) {
     driver::CompileOptions copts;
-    copts.opt.level = opt_level;
+    copts.opt.level = *opt_level;
     copts.budget = cfg_.budget;
     if (copts.budget.max_wall_seconds <= 0 ||
         copts.budget.max_wall_seconds > remaining) {
@@ -504,7 +536,7 @@ json::JValue Service::handle_script(
 
   // ---- run: in-process barrier or fork-per-request sandbox -------------
   RunSetup setup;
-  setup.np = np;
+  setup.np = *np;
   setup.machine = machine;
   setup.ckpt_dir = ckpt_dir;
   setup.test_kill = test_kill;
@@ -513,20 +545,20 @@ json::JValue Service::handle_script(
   // sandbox fork inherits the mapping, so the pointer stays valid in the
   // child too.
   eo.bytecode = art->bytecode.get();
-  eo.rand_seed = static_cast<uint64_t>(req.get_number("rand_seed", 1));
+  eo.rand_seed = *rand_seed;
   eo.spmd.fault = fault;
   eo.spmd.run_deadline = deadline;
   eo.spmd.cancel = &shutdown_;
   eo.spmd.mem_budget_bytes = mem_bytes;
   if (!ckpt_dir.empty()) {
-    eo.ckpt.interval = static_cast<uint32_t>(ckpt_interval);
+    eo.ckpt.interval = static_cast<uint32_t>(*ckpt_interval);
     eo.ckpt.dir = ckpt_dir;
     eo.ckpt.resume = ckpt_resume;
   }
 
   json::JValue partial =
       cfg_.isolate == IsolateMode::Process
-          ? run_sandboxed(*art->compiled, std::move(setup), deadline, retries)
+          ? run_sandboxed(*art->compiled, std::move(setup), deadline, *retries)
           : run_artifact(*art->compiled, setup);
 
   // Keep the retention budget honest for successes *and* failures — a crash

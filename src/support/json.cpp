@@ -115,8 +115,9 @@ void dump_value(const JValue& v, std::string& out) {
         return;
       }
       char buf[32];
-      if (n == static_cast<double>(static_cast<long long>(n)) &&
-          std::fabs(n) < 1e15) {
+      // Range first: casting a double past long long's range is undefined.
+      if (std::fabs(n) < 1e15 &&
+          n == static_cast<double>(static_cast<long long>(n))) {
         std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(n));
       } else {
         std::snprintf(buf, sizeof buf, "%.17g", n);

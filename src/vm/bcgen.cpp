@@ -378,14 +378,6 @@ class ChunkGen {
         emit(Op::ColwiseM, dst, a, 0, 0, static_cast<uint8_t>(in.red));
         return;
       }
-      case LOp::Norm: {
-        uint32_t dst = dst_sreg(in);
-        if (dst == kNoReg) return;
-        uint32_t a = operand_mreg(in.args[0]);
-        if (a == kNoReg) return;
-        emit(Op::NormS, dst, a);
-        return;
-      }
       case LOp::Trapz: {
         uint32_t dst = dst_sreg(in);
         if (dst == kNoReg) return;
@@ -901,7 +893,6 @@ const char* op_name(Op op) {
     case Op::Dot: return "dot";
     case Op::ReduceS: return "reduce";
     case Op::ColwiseM: return "colwise";
-    case Op::NormS: return "norm";
     case Op::TrapzS: return "trapz";
     case Op::GetEl: return "getel";
     case Op::SetEl: return "setel";
@@ -1011,11 +1002,10 @@ void dump_chunk(std::string& out, const BcModule& m, const BcChunk& ch) {
       case Op::CopyM: mm(in.a); sp(); mm(in.b); break;
       case Op::Dot: s(in.a); sp(); mm(in.b); sp(); mm(in.c); break;
       case Op::ReduceS:
-      case Op::NormS:
         s(in.a);
         sp();
         mm(in.b);
-        if (in.op == Op::ReduceS) out += " red" + std::to_string(in.flag);
+        out += " red" + std::to_string(in.flag);
         break;
       case Op::ColwiseM:
         mm(in.a);

@@ -60,7 +60,6 @@ enum class Op : uint8_t {
   Dot,      ///< s[a] = dot(m[b], m[c])
   ReduceS,  ///< s[a] = reduce_<flag>(m[b])
   ColwiseM, ///< m[a] = colwise_<flag>(m[b])
-  NormS,    ///< s[a] = norm2(m[b])
   TrapzS,   ///< s[a] = trapz(m[b]) or trapz_xy(m[b], m[c]) when flag
   GetEl,    ///< s[a] = m[b](...); flag bit0 = linear; c,d = index sregs; e = cache
   SetEl,    ///< m[a](...) = value; flag bit0 = linear; operands b,c,d; e = cache

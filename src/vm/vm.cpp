@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <ostream>
 #include <vector>
 
@@ -399,13 +400,14 @@ class Vm {
         &&L_Jmp,     &&L_JmpIfZ,  &&L_ForPrep,   &&L_ForNext, &&L_Ret,
         &&L_Boundary,&&L_Call,    &&L_Trap,      &&L_MatMul,  &&L_MatVec,
         &&L_VecMat,  &&L_Outer,   &&L_Transp,    &&L_Dot,     &&L_ReduceS,
-        &&L_ColwiseM,&&L_NormS,   &&L_TrapzS,    &&L_GetEl,   &&L_SetEl,
-        &&L_ExtrRow, &&L_ExtrCol, &&L_AsgnRow,   &&L_AsgnCol, &&L_SliceV,
-        &&L_AsgnSlice,&&L_FillZ,  &&L_FillO,     &&L_FillE,   &&L_FillRnd,
-        &&L_FillRange,&&L_FillLin,&&L_LoadF,     &&L_FromLit, &&L_CopyM,
-        &&L_EwKern,  &&L_Guard,   &&L_DisplayV,  &&L_DispV,   &&L_Fprintf,
-        &&L_ReduceG,
+        &&L_ColwiseM,&&L_TrapzS,  &&L_GetEl,     &&L_SetEl,   &&L_ExtrRow,
+        &&L_ExtrCol, &&L_AsgnRow, &&L_AsgnCol,   &&L_SliceV,  &&L_AsgnSlice,
+        &&L_FillZ,   &&L_FillO,   &&L_FillE,     &&L_FillRnd, &&L_FillRange,
+        &&L_FillLin, &&L_LoadF,   &&L_FromLit,   &&L_CopyM,   &&L_EwKern,
+        &&L_Guard,   &&L_DisplayV,&&L_DispV,     &&L_Fprintf, &&L_ReduceG,
     };
+    static_assert(std::size(kTable) == static_cast<size_t>(Op::ReduceG) + 1,
+                  "one label per opcode, in Op's order");
 #define OVM_CASE(name) L_##name:
 #define OVM_NEXT()                                     \
   do {                                                 \
@@ -555,8 +557,6 @@ class Vm {
           fail("column-wise prod is not supported");
       }
     }
-    OVM_NEXT();
-    OVM_CASE(NormS) { f.s[in->a] = rt::norm2(comm_, f.m[in->b]); }
     OVM_NEXT();
     OVM_CASE(TrapzS) {
       f.s[in->a] = in->flag != 0

@@ -34,14 +34,13 @@ struct LintRun {
   std::string json;
 };
 
-/// Compiles `src` (no DSE, so the lint sees every statement) and runs the
-/// linter plus the abstract-interpretation findings (what otterlint does),
-/// collecting everything in a fresh engine.
+/// Compiles `src` at -O0 (no DSE, so the lint sees every statement) and
+/// runs the linter plus the abstract-interpretation findings (what
+/// otterlint does), collecting everything in a fresh engine.
 LintRun lint_src(const std::string& src,
                  const sema::MFileLoader& loader = {}) {
   LintRun r;
   driver::CompileOptions copts;
-  copts.lower.dse = false;
   copts.opt.level = 0;  // lint the raw LIR: every finding stays visible
   copts.analyze = true;
   r.compiled = driver::compile_script(src, loader, copts);
@@ -365,7 +364,6 @@ TEST(Lint, JsonCarriesCodeFileAndLine) {
 
 TEST(Lint, WerrorPromotesFindingsToErrors) {
   driver::CompileOptions copts;
-  copts.lower.dse = false;
   copts.opt.level = 0;
   auto c = driver::compile_script("x = 3;\nx = 4;\ndisp(x);\n", {}, copts);
   ASSERT_TRUE(c->ok) << c->diags.to_string();
@@ -776,10 +774,10 @@ TEST(VerifyLir, VerifierAcceptsEveryCompiledBenchmark) {
 
 // -- dead-statement elimination -----------------------------------------------
 
+/// The LIR as lowered (-O0), or after the optimizer, which runs DSE (-O2).
 std::string lir_dump(const std::string& src, bool dse) {
   driver::CompileOptions copts;
-  copts.lower.dse = dse;
-  copts.opt.level = 0;  // isolate DSE's effect from the optimizer's sweep
+  copts.opt.level = dse ? 2 : 0;
   auto c = driver::compile_script(src, {}, copts);
   EXPECT_TRUE(c->ok) << c->diags.to_string();
   return lower::dump_lir(c->lir);
@@ -797,7 +795,6 @@ TEST(Dse, RemovesDeadCommunication) {
 
 TEST(Dse, ReturnsRemovedCount) {
   driver::CompileOptions copts;
-  copts.lower.dse = false;
   copts.opt.level = 0;
   auto c = driver::compile_script(
       "a = ones(4, 4);\nb = ones(4, 4);\ndead = a * b;\nc = a + b;\n"
@@ -839,7 +836,7 @@ TEST(Dse, KeepsReadModifyWrites) {
 
 TEST(Dse, DifferentialOutputUnchanged) {
   // The canonical use: the same program with and without DSE must print
-  // the same thing (exercised at scale by otterfuzz --no-dse differential).
+  // the same thing (exercised at scale by otterfuzz's -O0/-O2 differential).
   const std::string src =
       "a = ones(3, 3);\nwaste = a * a;\nt = sum(sum(a));\ndisp(t);\n";
   std::string without = lir_dump(src, false);

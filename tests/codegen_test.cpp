@@ -40,7 +40,11 @@ TEST(Emit, ElementWriteUsesGuardedStore) {
 }
 
 TEST(Emit, DotProductFoldedByPeephole) {
-  std::string cpp = emit_for("x = rand(16, 1); r = x' * x; disp(r);");
+  auto c = driver::compile_script("x = rand(16, 1); r = x' * x; disp(r);", {},
+                                  {.opt = {.level = 0}});
+  ASSERT_TRUE(c->ok) << c->diags.to_string();
+  lower::run_peephole(c->lir);
+  std::string cpp = emit_cpp(c->lir);
   EXPECT_NE(cpp.find("rt::dot(ctx.comm"), std::string::npos) << cpp;
   // No transpose left behind.
   EXPECT_EQ(cpp.find("rt::transpose"), std::string::npos) << cpp;
@@ -230,6 +234,20 @@ TEST_P(CcE2e, UnalignedOperandsFailCoded) {
                 std::string::npos)
           << e.first().what;
     }
+  }
+}
+
+// norm(v) lowers to sqrt(dot(v, v)): norm of a matrix fails in rt::dot.
+TEST_P(CcE2e, NormOfAMatrixFailsCoded) {
+  if (!CompiledProgram::toolchain_available()) {
+    GTEST_SKIP() << "no host C++ compiler available";
+  }
+  try {
+    run_generated("a = rand(3, 3);\nn = norm(a);\ndisp(n)\n");
+    FAIL() << "norm of a matrix did not fail";
+  } catch (const mpi::SpmdFailure& e) {
+    EXPECT_EQ(e.first().code, "E5001");
+    EXPECT_EQ(e.first().what, "dot: expected equal-length vectors");
   }
 }
 

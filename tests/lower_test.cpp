@@ -9,13 +9,17 @@
 namespace otter::lower {
 namespace {
 
-std::string lir_for(const std::string& src, bool peephole = true) {
-  LowerOptions opts;
-  opts.peephole = peephole;
-  auto c =
-      driver::compile_script(src, {}, {.lower = opts, .opt = {.level = 0}});
+/// The -O0 (as lowered) LIR, with the peephole pass applied on request.
+std::unique_ptr<driver::CompileResult> lowered(const std::string& src,
+                                               bool peephole) {
+  auto c = driver::compile_script(src, {}, {.opt = {.level = 0}});
   EXPECT_TRUE(c->ok) << c->diags.to_string();
-  return dump_lir(c->lir);
+  if (peephole) run_peephole(c->lir);
+  return c;
+}
+
+std::string lir_for(const std::string& src, bool peephole = true) {
+  return dump_lir(lowered(src, peephole)->lir);
 }
 
 bool compile_fails(const std::string& src) {
@@ -165,10 +169,8 @@ TEST(Lower, PeepholeDotCarriesEarliestSourceLoc) {
   // fused instruction must keep the earliest location of the sequence so
   // lint/verifier findings about it point at the right line. The `...`
   // continuation spreads the statement over two lines.
-  auto c = driver::compile_script(
-      "x = rand(64, 1);\ny = rand(64, 1);\ns = x' ...\n  * y;\ndisp(s);", {},
-      {.opt = {.level = 0}});
-  ASSERT_TRUE(c->ok) << c->diags.to_string();
+  auto c = lowered(
+      "x = rand(64, 1);\ny = rand(64, 1);\ns = x' ...\n  * y;\ndisp(s);", true);
   const LInstr* dot = nullptr;
   for (const LInstrPtr& in : c->lir.script) {
     if (in->op == LOp::DotProd) dot = in.get();
@@ -181,10 +183,8 @@ TEST(Lower, PeepholeDotCarriesEarliestSourceLoc) {
 TEST(Lower, PeepholeTransposeDropKeepsEarliestSourceLoc) {
   // P2 deletes the transpose feeding a vector-matrix multiply; the
   // surviving multiply inherits the transpose's (earlier) location.
-  auto c = driver::compile_script(
-      "x = rand(8, 1);\nA = rand(8, 8);\nd = x' ...\n  * A;\ndisp(d(1));", {},
-      {.opt = {.level = 0}});
-  ASSERT_TRUE(c->ok) << c->diags.to_string();
+  auto c = lowered(
+      "x = rand(8, 1);\nA = rand(8, 8);\nd = x' ...\n  * A;\ndisp(d(1));", true);
   const LInstr* vm = nullptr;
   for (const LInstrPtr& in : c->lir.script) {
     if (in->op == LOp::VecMat) vm = in.get();

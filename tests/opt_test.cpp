@@ -74,14 +74,6 @@ TEST(OptFuse, SharedIntermediateIsNotLost) {
   EXPECT_EQ(run_at(src, 0, 1), run_at(src, 2, 1));
 }
 
-TEST(OptFuse, NoFuseOptionKeepsChains) {
-  driver::CompileOptions copts;
-  copts.opt.fuse = false;
-  auto c = driver::compile_script(kFusionSrc, {}, copts);
-  ASSERT_TRUE(c->ok) << c->diags.to_string();
-  EXPECT_EQ(c->opt_report.fused, 0u);
-}
-
 // -- communication LICM -------------------------------------------------------
 
 const char* kLicmSrc =
@@ -154,16 +146,6 @@ TEST(OptLicm, RmwTargetStaysInLoop) {
   EXPECT_EQ(run_at(src, 0, 1), run_at(src, 2, 1));
 }
 
-TEST(OptLicm, NoLicmOptionKeepsCommInLoop) {
-  driver::CompileOptions copts;
-  copts.opt.licm = false;
-  auto c = driver::compile_script(kLicmSrc, {}, copts);
-  ASSERT_TRUE(c->ok) << c->diags.to_string();
-  EXPECT_TRUE(c->opt_report.hoists.empty());
-  std::string post = dump_lir(c->lir);
-  EXPECT_GT(post.find("ML_reduce_sum"), post.find("for it")) << post;
-}
-
 // -- communication CSE --------------------------------------------------------
 
 TEST(OptCse, DuplicateReduceMergesInBlock) {
@@ -224,6 +206,28 @@ TEST(OptCopyProp, DisplayedCopyKeepsItsName) {
       "c = a + 1;\n"
       "disp(sum(c));\n";
   EXPECT_EQ(run_at(src, 0, 1), run_at(src, 2, 1));
+}
+
+// -- dead-statement elimination -----------------------------------------------
+
+TEST(OptDse, DeadReaderInLoopFreesItsAllreduce) {
+  // One DSE pass settles the loop's liveness before it removes the dead
+  // t = y + 1, so y = sum(v) still looks live; -O2 repeats DSE until it
+  // removes nothing, and the allreduce goes too.
+  std::string src =
+      "v = rand(8, 1);\n"
+      "y = sum(v);\n"
+      "for k = 1:3\n"
+      "  t = y + 1;\n"
+      "end\n"
+      "disp(3);\n";
+  auto c = compile_at(src, 0);
+  EXPECT_GE(run_dse(c->lir), 1u);
+  EXPECT_EQ(count_of(dump_lir(c->lir), "ML_reduce_sum"), 1u)
+      << dump_lir(c->lir);
+  std::string post = dump_lir(compile_at(src, 2)->lir);
+  EXPECT_EQ(count_of(post, "ML_reduce_sum"), 0u) << post;
+  EXPECT_EQ(run_at(src, 0, 3), run_at(src, 2, 3));
 }
 
 // -- compiled kernels ---------------------------------------------------------
@@ -445,12 +449,16 @@ TEST(OptCoalesce, ReadOfTheLaterDestinationBlocks) {
 }
 
 TEST(OptCoalesce, WriteOfTheLaterDestinationBlocks) {
+  // The write in between draws rand, so DSE must keep it although the
+  // reduction overwrites q.
   std::vector<LInstrPtr> mid;
   mid.push_back(reduce_into("p", RedKind::Max, "x"));
-  mid.push_back(assign("q", limm(5)));
+  auto draw = std::make_unique<LExpr>();
+  draw->kind = LExpr::Kind::RandScalar;
+  mid.push_back(assign("q", std::move(draw)));
   mid.push_back(reduce_into("q", RedKind::Max, "y"));
   EXPECT_EQ(coalesced_spliced(std::move(mid),
-                              "p = max(x); q = 5; q = max(y);\n"),
+                              "p = max(x); q = rand; q = max(y);\n"),
             0u);
 }
 

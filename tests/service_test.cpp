@@ -494,6 +494,49 @@ TEST(ServiceProtocol, CheckpointDirNameAndIntervalAreValidated) {
   EXPECT_EQ(resp.get_string("code", ""), "E0011");
 }
 
+// Integer fields are checked as numbers before any conversion: a fraction
+// must not truncate to a valid value, and a value past int's range must not
+// reach a float-to-int conversion (undefined behaviour).
+TEST(ServiceProtocol, IntegerFieldsRejectFractionsAndHugeValues) {
+  ServiceTempDir root;
+  ServiceConfig cfg;
+  cfg.checkpoint_root = root.path;
+  Service svc(cfg);
+  struct Case {
+    const char* field;
+    double value;
+    const char* code;
+  };
+  for (const Case& c : {Case{"np", 1.7, "E0012"}, Case{"np", 1e300, "E0012"},
+                        Case{"np", -1e300, "E0012"},
+                        Case{"opt_level", 0.5, "E0011"},
+                        Case{"opt_level", 2.9, "E0011"},
+                        Case{"opt_level", 1, "E0011"},
+                        Case{"retries", 0.5, "E0011"},
+                        Case{"retries", 1e300, "E0011"},
+                        Case{"checkpoint", 1.5, "E0011"},
+                        Case{"checkpoint", 1e300, "E0011"},
+                        Case{"rand_seed", 1.5, "E0011"},
+                        Case{"rand_seed", -1, "E0011"},
+                        Case{"rand_seed", 1e300, "E0011"}}) {
+    json::JValue req{json::JObject{}};
+    req.set("script", "x = 1;");
+    req.set("checkpoint_dir", "job");
+    req.set(c.field, c.value);
+    json::JValue resp = parse_ok(svc.process_line(req.dump()));
+    EXPECT_EQ(resp.get_string("status", ""), "bad_request")
+        << c.field << " = " << c.value;
+    EXPECT_EQ(resp.get_string("code", ""), c.code)
+        << c.field << " = " << c.value;
+  }
+  // Integral values at the edges of their ranges still run.
+  json::JValue ok = parse_ok(svc.process_line(
+      R"j({"script":"disp(2)","np":2,"opt_level":0,"retries":0,)j"
+      R"j("rand_seed":18446744073709549568})j"));
+  EXPECT_EQ(ok.get_string("status", ""), "ok") << ok.dump();
+  EXPECT_EQ(ok.get_string("output", ""), "2\n");
+}
+
 TEST(ServiceProtocol, CheckpointedRunWritesAndResumesOverTheProtocol) {
   ServiceTempDir root;
   ServiceConfig cfg;

@@ -12,7 +12,6 @@
 //   --machine=NAME         meiko_cs2 | sparc20_cluster | enterprise_smp |
 //                          ideal (default ideal)
 //   --dist=block|cyclic    data-distribution strategy (default block)
-//   --no-peephole          disable the peephole pass (paper pass 6)
 //   --seed=N               seed for rand (default 1)
 //   --times                print the matmul kernel in use, then per-rank
 //                          virtual times, comm ops and minor page faults
@@ -44,17 +43,15 @@
 //   --Werror               report lint findings as errors (with --lint or
 //                          --analyze this makes findings exit with code 65)
 //   --no-verify-lir        skip the post-lowering LIR self-verification
-//   --no-dse               disable the liveness-driven dead-statement
-//                          elimination
-//   -O0 | -O1 | -O2        LIR optimizer level (default -O2): -O1 adds copy
-//                          propagation, fusion of element-wise chains, and
-//                          dead-result sweeping; -O2 adds communication CSE
-//                          and loop-invariant communication motion
+//   -O0 | -O2              LIR optimizer level (default -O2): -O0 runs the
+//                          LIR as lowered, one statement at a time; -O2
+//                          runs the peephole pass (paper pass 6), copy
+//                          propagation, communication CSE, element-wise
+//                          fusion, loop-invariant communication motion,
+//                          shape-guard elimination, dead-statement
+//                          elimination and reduction coalescing
 //   --dump-bytecode        print the compiled LIR bytecode (register VM
 //                          form) and exit
-//   --no-fuse              keep element-wise chains unfused at -O1/-O2
-//   --no-licm              keep loop-invariant communication in place
-//   --no-guard-elim        keep proven ShapeGuards in the LIR at -O2
 //   --dump-lir=pre-opt|post-opt  print the LIR before or after the
 //                          optimizer and exit (post-opt == --emit=lir)
 //   --mem-mb=N             matrix-memory budget for the run in MiB; past it
@@ -114,7 +111,6 @@ struct Options {
   int np = 1;
   std::string machine = "ideal";
   otter::rt::Dist dist = otter::rt::Dist::RowBlock;
-  bool peephole = true;
   bool times = false;
   uint64_t seed = 1;
   std::string fault_plan;
@@ -132,11 +128,7 @@ struct Options {
   bool analyze = false;
   bool werror = false;
   bool verify_lir = true;
-  bool dse = true;
   int opt_level = 2;
-  bool fuse = true;
-  bool licm = true;
-  bool guard_elim = true;
   bool dump_bytecode = false;
   std::string dump_lir;
   std::string remote;      // otterd socket path; empty = compile locally
@@ -154,15 +146,14 @@ int usage() {
   std::cerr <<
       "usage: otterc SCRIPT.m [--emit=ast|lir|c] [--run=interp|direct|cc]\n"
       "              [--np=N] [--machine=NAME] [--dist=block|cyclic]\n"
-      "              [--no-peephole] [--seed=N] [--times]\n"
+      "              [--seed=N] [--times]\n"
       "              [--fault-plan=SPEC] [--timeout=SECS] [--retries=N]\n"
       "              [--retry-cap=SECS]\n"
       "              [--checkpoint-dir=DIR [--checkpoint=N] [--resume]]\n"
       "              [--diag-format=text|json] [--max-errors=N]\n"
       "              [--strict-infer] [--budget-seconds=SECS]\n"
       "              [--lint] [--analyze] [--Werror] [--no-verify-lir]\n"
-      "              [--no-dse]\n"
-      "              [-O0|-O1|-O2] [--no-fuse] [--no-licm] [--no-guard-elim]\n"
+      "              [-O0|-O2]\n"
       "              [--dump-bytecode]\n"
       "              [--dump-lir=pre-opt|post-opt]\n"
       "              [--mem-mb=N]\n"
@@ -211,12 +202,7 @@ bool parse_args(int argc, char** argv, Options& o) try {
       if (!(o.mem_mb >= 0.0)) return false;  // negative or NaN
     }
     else if (a == "-O0") o.opt_level = 0;
-    else if (a == "-O1") o.opt_level = 1;
     else if (a == "-O2") o.opt_level = 2;
-    else if (a == "--no-fuse") o.fuse = false;
-    else if (a == "--no-licm") o.licm = false;
-    else if (a == "--no-guard-elim") o.guard_elim = false;
-    else if (a == "--no-peephole") o.peephole = false;
     else if (a == "--strict-infer") o.strict_infer = true;
     else if (a == "--resume") o.resume = true;
     else if (a == "--times") o.times = true;
@@ -224,7 +210,6 @@ bool parse_args(int argc, char** argv, Options& o) try {
     else if (a == "--analyze") o.analyze = true;
     else if (a == "--Werror") o.werror = true;
     else if (a == "--no-verify-lir") o.verify_lir = false;
-    else if (a == "--no-dse") o.dse = false;
     else if (!a.empty() && a[0] == '-') return false;
     else if (o.script_path.empty()) o.script_path = a;
     else return false;
@@ -458,18 +443,13 @@ int main(int argc, char** argv) {
     }
 
     otter::driver::CompileOptions copts;
-    copts.lower.peephole = opt.peephole;
     bool analyzing = opt.lint || opt.analyze;
-    // Lint wants the full LIR: DSE would delete the very dead stores and
-    // unused results the analysis reports on.
-    copts.lower.dse = opt.dse && !analyzing;
-    // Lint also wants the unoptimized LIR (the findings describe the
-    // program as written); the optimizer's own work is cross-linked below.
+    // Lint wants the unoptimized LIR: the findings describe the program as
+    // written, and DSE would delete the very dead stores and unused results
+    // the analysis reports on. The optimizer's own work is cross-linked
+    // below.
     copts.opt.level = analyzing ? 0 : opt.opt_level;
     copts.analyze = opt.analyze;
-    copts.opt.fuse = opt.fuse;
-    copts.opt.licm = opt.licm;
-    copts.opt.guard_elim = opt.guard_elim;
     copts.keep_preopt = (opt.dump_lir == "pre-opt");
     copts.strict_infer = opt.strict_infer;
     copts.max_errors = opt.max_errors;

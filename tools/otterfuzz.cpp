@@ -11,10 +11,10 @@
 //      the same no-crash / always-a-diagnostic contract.
 //   3. Differential execution: every script in the valid corpus runs through
 //      the baseline interpreter AND the compiled pipeline at np=1 and np=3 —
-//      the bytecode VM on the LIR exactly as lowered (-O0, no DSE) and on
-//      the full default pipeline (DSE + -O2); all outputs must agree
-//      exactly, and at np=3 the -O2 leg may make no more comm ops than the
-//      -O0 leg (stage 4 checks the same).
+//      the bytecode VM on the LIR exactly as lowered (-O0) and on the full
+//      default pipeline (-O2: peephole, the optimizer passes and DSE); all
+//      outputs must agree exactly, and at np=3 the -O2 leg may make no more
+//      comm ops than the -O0 leg (stage 4 checks the same).
 //   4. Guard/divergence generator: seeded random scripts mixing provable and
 //      unprovable matrix shapes, reductions (shape guards), and optionally
 //      rank-divergent control around communication. Each script is executed
@@ -31,8 +31,8 @@
 // Every accepted compile is additionally run through the structural LIR
 // verifier (--verify-lir semantics): a verification failure on an input the
 // compiler accepted is a miscompile and counts as a failure, never as a
-// legitimate rejection. The differential check also replays each valid
-// script with dead-statement elimination enabled, so the optimizer is
+// legitimate rejection. The differential check's -O2 leg runs every
+// optimizer pass, the peephole pass and DSE included, so the optimizer is
 // differentially tested too.
 //
 // Exit status: 0 when every check passed, 1 otherwise. The tool is
@@ -279,10 +279,9 @@ std::string diff_one(const std::string& source) {
     return std::string("interpreter failed: ") + e.what();
   }
   otter::mpi::MachineProfile profile = otter::mpi::profile_by_name("ideal");
-  // Leg 1: the VM on the LIR exactly as lowered (-O0, no DSE). Leg 2: the
-  // VM on the full default pipeline (DSE + the -O2 optimizer), so lowering
-  // and the optimizer are each differentially tested against the
-  // interpreter.
+  // Leg 1: the VM on the LIR exactly as lowered (-O0). Leg 2: the VM on
+  // the full default pipeline (-O2), so lowering and the optimizer are each
+  // differentially tested against the interpreter.
   struct Leg {
     int level;
     const char* tag;
@@ -295,7 +294,6 @@ std::string diff_one(const std::string& source) {
   for (size_t li = 0; li < 2; ++li) {
     const Leg& leg = kLegs[li];
     otter::driver::CompileOptions copts;
-    copts.lower.dse = leg.level > 0;
     copts.opt.level = leg.level;
     auto compiled = otter::driver::compile_script(source, {}, copts);
     if (!compiled->ok) {
@@ -397,7 +395,6 @@ std::string diff_guard_levels(const std::string& source, Stats& stats,
   for (int i = 0; i < 2; ++i) {
     otter::driver::CompileOptions copts;
     copts.opt.level = i == 0 ? 0 : 2;
-    copts.lower.dse = i != 0;
     copts.analyze = true;
     copts.budget.max_wall_seconds = 5.0;
     levels[i] = otter::driver::compile_script(source, {}, copts);
