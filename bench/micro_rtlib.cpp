@@ -174,6 +174,38 @@ void BM_Transpose(benchmark::State& state) {
 }
 BENCHMARK(BM_Transpose)->Arg(64)->Arg(256)->Arg(2048);
 
+/// rand(n, n) at one rank: the generator's bulk fill into a fresh payload
+/// (384 is transclos's, 2048 cg's).
+void BM_FillRand(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  spmd1(
+      state, [](mpi::Comm&) { return std::vector<DMat>{}; },
+      [n](mpi::Comm& comm, const std::vector<DMat>&) {
+        DMat r = rnd(comm, n, n);
+        benchmark::DoNotOptimize(r.local().data());
+      });
+  const double d = static_cast<double>(n);
+  report(state, d * d, 8 * d * d);
+}
+BENCHMARK(BM_FillRand)->Arg(384)->Arg(2048);
+
+/// cg's `a = a + n * eye(n, n)` at -O2: one in-place pass over a, no
+/// identity built.
+void BM_EyeUpdate(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  mpi::run_spmd(mpi::ideal(1), 1, [&](mpi::Comm& comm) {
+    DMat a = rnd(comm, n, n);
+    for (auto _ : state) {
+      rt::eye_update(comm, a, a, static_cast<double>(n), n, n, rt::EwBin::Add,
+                     false, rt::Dist::RowBlock);
+      benchmark::ClobberMemory();
+    }
+  });
+  const double d = static_cast<double>(n);
+  report(state, d * d, 16 * d * d);
+}
+BENCHMARK(BM_EyeUpdate)->Arg(2048);
+
 void BM_Trapz(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   spmd1(

@@ -7,6 +7,8 @@
 #   * a crashing script (deterministic --fault-plan) gets a structured
 #     runtime_error, and after enough strikes the E0010 quarantine;
 #   * an oversized script is rejected with E0012 without being compiled;
+#   * a request field of the wrong JSON type ("np":"4", "run":"false") is
+#     a malformed request (E0011), not a default;
 #   * otterc -O1, a level that no longer exists, is a usage error (64);
 #   * a concurrent flood sheds excess requests with E0008 while the server
 #     keeps answering pings;
@@ -54,6 +56,24 @@ expect_grep() {  # expect_grep DESCRIPTION PATTERN FILE
     sed 's/^/    | /' "$3"
     fails=$((fails + 1))
   fi
+}
+
+raw_request() {  # raw_request SOCKET JSON_LINE: prints the one-line reply
+  python3 - "$1" "$2" <<'EOF'
+import socket
+import sys
+
+s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+s.connect(sys.argv[1])
+s.sendall(sys.argv[2].encode() + b"\n")
+reply = b""
+while not reply.endswith(b"\n"):
+    chunk = s.recv(65536)
+    if not chunk:
+        break
+    reply += chunk
+print(reply.decode().strip())
+EOF
 }
 
 # Deliberately tight limits so every degradation path is reachable fast.
@@ -110,6 +130,17 @@ big="${tmp}/big.m"
 "${otterc}" "${big}" --remote="${sock}" 2>"${tmp}/big.err"
 check "oversized script is rejected as a bad request" 64 $?
 expect_grep "oversize rejection carries E0012" "E0012" "${tmp}/big.err"
+
+# -- wrongly typed request fields ---------------------------------------------
+# otterc always sends well-typed fields, so these go over the raw socket.
+raw_request "${sock}" '{"script":"disp(nprocs)","np":"4"}' \
+  > "${tmp}/np_str.json"
+expect_grep "a string np is malformed (E0011)" '"code":"E0011"' \
+  "${tmp}/np_str.json"
+raw_request "${sock}" '{"script":"disp(1)","run":"false"}' \
+  > "${tmp}/run_str.json"
+expect_grep "a string run flag is malformed (E0011)" '"code":"E0011"' \
+  "${tmp}/run_str.json"
 
 # -- removed optimizer level ---------------------------------------------------
 # -O0 and -O2 are the only levels: -O1 is a usage error, and no request

@@ -360,6 +360,16 @@ class Verifier {
           }
         }
         break;
+      case LOp::EyeUpdate:
+        want_dst(in, defined);
+        if (want_arity(in, 4)) {
+          want_mat(in, 0, defined);
+          for (size_t i = 1; i < 4; ++i) want_scalar(in, i, defined);
+        }
+        if (in.bop != lower::EwBin::Add && in.bop != lower::EwBin::Sub) {
+          err("E6008", in, "eye update must add or subtract");
+        }
+        break;
       case LOp::ScalarAssign:
         want_sdst(in);
         if (!in.tree) {

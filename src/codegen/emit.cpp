@@ -205,6 +205,23 @@ class Emitter {
   }
 
   void emit_instr(const LInstr& in) {
+    // Each statement records itself for run-time error context (ML_run).
+    // Control statements record nothing: the statements in their bodies
+    // record themselves.
+    switch (in.op) {
+      case LOp::IfOp:
+      case LOp::WhileOp:
+      case LOp::ForOp:
+      case LOp::BreakOp:
+      case LOp::ContinueOp:
+      case LOp::ReturnOp:
+        break;
+      default:
+        line("genrt::ML_at(ctx, " + std::to_string(in.loc.line) + ", " +
+             std::to_string(in.loc.col) + ", \"" + lower::lop_name(in.op) +
+             "\");");
+        break;
+    }
     switch (in.op) {
       case LOp::MatMul:
         line(in.dst + " = rt::matmul(ctx.comm, " + sop(in.args[0]) + ", " +
@@ -444,6 +461,13 @@ class Emitter {
         close();
         return;
       }
+      case LOp::EyeUpdate:
+        line("rt::eye_update(ctx.comm, " + in.dst + ", " + sop(in.args[0]) +
+             ", " + sop(in.args[1]) + ", " + as_size(sop(in.args[2])) + ", " +
+             as_size(sop(in.args[3])) + ", rt::EwBin::" +
+             (in.bop == EwBin::Sub ? "Sub" : "Add") + ", " +
+             (in.eye_first ? "true" : "false") + ", ctx.dist);");
+        return;
       case LOp::ScalarAssign:
         line(in.sdst + " = " + expr(*in.tree) + ";");
         return;
@@ -592,7 +616,7 @@ class Emitter {
          << "  Ctx ctx{*comm, *out, seed, 0,\n"
          << "          dist == 0 ? otter::rt::Dist::RowBlock : "
             "otter::rt::Dist::Cyclic};\n"
-         << "  otter_script(ctx);\n"
+         << "  genrt::ML_run(ctx, otter_script);\n"
          << "}\n";
   }
 

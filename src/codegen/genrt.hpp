@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdio>
+#include <new>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -23,7 +24,37 @@ struct Ctx {
   uint64_t rand_seed = 1;
   uint64_t rand_seq = 0;
   rt::Dist dist = rt::Dist::RowBlock;
+  /// The statement running now (ML_at), for run-time error context.
+  SourceLoc at{};
+  const char* op = nullptr;
 };
+
+/// Records the statement about to run, as the VM's statement map does.
+inline void ML_at(Ctx& ctx, uint32_t line, uint32_t col, const char* op) {
+  ctx.at = SourceLoc{0, line, col};
+  ctx.op = op;
+}
+
+/// Runs the script. A run-time error leaves it with the VM's prefix
+/// "line N (op): " for the statement that raised it, and an allocation
+/// failure becomes the VM's E5006.
+template <typename Script>
+void ML_run(Ctx& ctx, Script&& script) {
+  auto context = [&ctx] {
+    std::string s;
+    if (ctx.op == nullptr) return s;
+    if (ctx.at.valid()) s += "line " + std::to_string(ctx.at.line) + " ";
+    return s + "(" + ctx.op + "): ";
+  };
+  try {
+    script(ctx);
+  } catch (const rt::RtError& e) {
+    throw rt::RtError(context() + e.what(), e.loc.valid() ? e.loc : ctx.at,
+                      e.code);
+  } catch (const std::bad_alloc& e) {
+    throw rt::RtError(context() + e.what(), ctx.at, "E5006");
+  }
+}
 
 /// Replicated scalar rand draw — identical sequence on every rank/backend.
 inline double ML_rand_scalar(Ctx& ctx) {

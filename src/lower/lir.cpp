@@ -236,6 +236,29 @@ void dump_instr(const LInstr& in, std::ostream& os, int indent) {
       os << "for-each-local " << in.dst << " = ";
       dump_lexpr_to(*in.tree, os);
       break;
+    case LOp::EyeUpdate: {
+      const char* op = in.bop == EwBin::Sub ? " - " : " + ";
+      auto eye = [&] {
+        dump_operand(in.args[1], os);
+        os << " * eye(";
+        dump_operand(in.args[2], os);
+        os << ", ";
+        dump_operand(in.args[3], os);
+        os << ')';
+      };
+      os << in.dst << " = ML_eye_update(";
+      if (in.eye_first) {
+        eye();
+        os << op;
+        dump_operand(in.args[0], os);
+      } else {
+        dump_operand(in.args[0], os);
+        os << op;
+        eye();
+      }
+      os << ')';
+      break;
+    }
     case LOp::ScalarAssign:
       os << in.sdst << " = ";
       dump_lexpr_to(*in.tree, os);
@@ -355,7 +378,10 @@ const char* lop_name(LOp op) {
     case LOp::LoadFile: return "load";
     case LOp::FromLiteral: return "matrix-literal";
     case LOp::CopyMat: return "copy";
-    case LOp::Elemwise: return "elemwise";
+    // The folded element-wise loop keeps the loop's name, so its run-time
+    // errors read as they do without the fold.
+    case LOp::Elemwise:
+    case LOp::EyeUpdate: return "elemwise";
     case LOp::ScalarAssign: return "scalar-assign";
     case LOp::CallFn: return "call";
     case LOp::Display: return "display";
@@ -456,6 +482,7 @@ bool removable(const LInstr& in) {
     case LOp::FromLiteral:
     case LOp::CopyMat:
     case LOp::Elemwise:
+    case LOp::EyeUpdate:
     case LOp::ScalarAssign:
       // FillRand is deliberately absent: it advances the shared random
       // sequence, so deleting it would shift every later draw.

@@ -105,6 +105,7 @@ enum class LOp {
   CopyMat,       // dst = a (matrix copy / rename)
   // Local compute.
   Elemwise,      // dst[l] = tree(l) for each local element (fused loop)
+  EyeUpdate,     // dst = x bop s*eye(r, c): args x, s, r, c (run_opt's fold)
   ScalarAssign,  // sdst = scalar tree (replicated)
   // Calls & I/O.
   CallFn,        // [dsts] = fn_instance(args)
@@ -150,6 +151,9 @@ struct LInstr {
 
   RedKind red = RedKind::Sum;  // Reduce / Colwise
   bool linear = false;         // GetElem/SetElem with one (linear) index
+  // EyeUpdate: bop is Add or Sub; eye_first writes s*eye(r, c) bop x.
+  EwBin bop = EwBin::Add;
+  bool eye_first = false;
   // CallFn.
   std::string callee;
   std::vector<LVarDecl> call_dsts;   // also ReduceGroup's destinations

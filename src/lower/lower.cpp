@@ -1,5 +1,6 @@
 #include "lower/lower.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <optional>
 #include <unordered_set>
@@ -376,19 +377,35 @@ class Lowerer {
   LExprPtr lower_scalar_call(const Expr& e) {
     if (e.callee == CalleeKind::Variable) {
       // Scalar element read a(i) or a(i, j) — ML_broadcast (paper pass 4).
+      std::string base = e.name;
+      if (storage_of(e.name).is_scalar()) {
+        // A scalar-stored variable: s(1) and s(1, 1) are s itself. Any
+        // other index reads a 1 x 1 copy, whose bounds check fails at run
+        // time on this line, where the interpreter fails too.
+        if (std::all_of(e.args.begin(), e.args.end(), [&](const ExprPtr& a) {
+              return const_of(*a) == 1.0;
+            })) {
+          return lsvar(e.name);
+        }
+        base = fresh_temp(true);
+        LInstr& lit = emit(LOp::FromLiteral, e.loc);
+        lit.dst = base;
+        lit.literal_rows.push_back({});
+        lit.literal_rows.back().push_back(lsvar(e.name));
+      }
       std::string t = fresh_temp(false);
       emit_with(LOp::GetElem, e.loc, [&](LInstr& in) {
         in.sdst = t;
-        in.args.push_back(mat_operand(e.name));
+        in.args.push_back(mat_operand(base));
         if (e.args.size() == 1) {
           in.linear = true;
           in.args.push_back(
-              scalar_operand(lower_index_scalar(*e.args[0], e.name, 0, 1)));
+              scalar_operand(lower_index_scalar(*e.args[0], base, 0, 1)));
         } else {
           in.args.push_back(
-              scalar_operand(lower_index_scalar(*e.args[0], e.name, 0, 2)));
+              scalar_operand(lower_index_scalar(*e.args[0], base, 0, 2)));
           in.args.push_back(
-              scalar_operand(lower_index_scalar(*e.args[1], e.name, 1, 2)));
+              scalar_operand(lower_index_scalar(*e.args[1], base, 1, 2)));
         }
       });
       return lsvar(t);

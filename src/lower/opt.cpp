@@ -351,6 +351,135 @@ class CommCse {
   OptReport& rep_;
 };
 
+using Readers = std::unordered_map<std::string, std::vector<const LInstr*>>;
+
+void add_readers(const std::vector<LInstrPtr>& body, Readers& readers) {
+  for (const LInstrPtr& ip : body) {
+    const LInstr& in = *ip;
+    Set r;
+    instr_reads(in, r);
+    if (is_rmw(in.op) && !in.dst.empty()) r.insert(in.dst);
+    for (const LIfArm& arm : in.arms) tree_vars(arm.cond.get(), r);
+    tree_vars(in.cond.get(), r);
+    tree_vars(in.lo.get(), r);
+    tree_vars(in.step.get(), r);
+    tree_vars(in.hi.get(), r);
+    for (const std::string& n : r) readers[n].push_back(&in);
+    for (const LIfArm& arm : in.arms) add_readers(arm.body, readers);
+    add_readers(in.body, readers);
+  }
+}
+
+/// name → instructions (anywhere in the scope) whose read set contains it.
+Readers scope_readers(const std::vector<LInstrPtr>& root) {
+  Readers readers;
+  add_readers(root, readers);
+  return readers;
+}
+
+// -- eye folding --------------------------------------------------------------
+
+bool is_tmp(const std::string& n) { return n.rfind("ML_tmp", 0) == 0; }
+
+/// Folds `t = ML_eye(r, c)` into the element-wise statement right after it
+/// when that statement is t's only reader in the scope and its tree is
+/// x + s*t, x + t*s, x - s*t, x - t*s, x + t or x - t, or one of those with
+/// the t term first. The fold is one EyeUpdate: a single pass over x that
+/// never builds the identity (cg's `a = a + n*eye(n, n)` stops allocating
+/// and faulting in a 32 MiB matrix only to read it back). It keeps the
+/// operator and the operand order; s*t and t*s are the same product. The
+/// statements are adjacent and s, r and c are rand-free scalar trees, so
+/// evaluating them together in one statement is exact.
+class EyeFold {
+ public:
+  explicit EyeFold(OptReport& rep) : rep_(rep) {}
+
+  void run(std::vector<LInstrPtr>& body) {
+    readers_ = scope_readers(body);
+    walk(body);
+  }
+
+ private:
+  static bool is_mat(const LExpr& e, const std::string& name) {
+    return e.kind == LExpr::Kind::MatVar && e.var == name;
+  }
+
+  /// The scale of an eye term over `t`: s for s*t or t*s, 1 for a bare t;
+  /// null when `e` is no eye term or its scale reads a matrix.
+  static LExprPtr eye_scale(const LExpr& e, const std::string& t) {
+    if (is_mat(e, t)) return limm(1.0);
+    if (e.kind != LExpr::Kind::Bin || e.bop != EwBin::Mul) return nullptr;
+    const LExpr* s = is_mat(*e.b, t) ? e.a.get()
+                     : is_mat(*e.a, t) ? e.b.get()
+                                       : nullptr;
+    if (s == nullptr || s->has_matrix_leaf()) return nullptr;
+    Set reads;
+    tree_vars(s, reads);
+    if (reads.contains(t)) return nullptr;
+    return clone_lexpr(*s);
+  }
+
+  /// The EyeUpdate equivalent to `ew` with `eye` folded in, or null.
+  static LInstrPtr fold(LInstr& eye, const LInstr& ew) {
+    const LExpr& e = *ew.tree;
+    if (e.kind != LExpr::Kind::Bin ||
+        (e.bop != EwBin::Add && e.bop != EwBin::Sub)) {
+      return nullptr;
+    }
+    const std::string& t = eye.dst;
+    bool eye_first = false;
+    LExprPtr s = eye_scale(*e.b, t);
+    const LExpr* x = e.a.get();
+    if (!s) {
+      s = eye_scale(*e.a, t);
+      x = e.b.get();
+      eye_first = true;
+    }
+    if (!s || x->kind != LExpr::Kind::MatVar || x->var == t) return nullptr;
+    auto upd = std::make_unique<LInstr>(LOp::EyeUpdate, ew.loc);
+    upd->dst = ew.dst;
+    LOperand xo;
+    xo.is_matrix = true;
+    xo.mat = x->var;
+    upd->args.push_back(std::move(xo));
+    LOperand so;
+    so.scalar = std::move(s);
+    upd->args.push_back(std::move(so));
+    upd->args.push_back(std::move(eye.args[0]));
+    upd->args.push_back(std::move(eye.args[1]));
+    upd->bop = e.bop;
+    upd->eye_first = eye_first;
+    return upd;
+  }
+
+  void walk(std::vector<LInstrPtr>& body) {
+    for (size_t i = 0; i < body.size(); ++i) {
+      LInstr& in = *body[i];
+      for (LIfArm& arm : in.arms) walk(arm.body);
+      walk(in.body);
+      if (in.op != LOp::FillEye || !is_tmp(in.dst) || i + 1 == body.size() ||
+          in.args.size() != 2 || any_tree_has_rand(in)) {
+        continue;
+      }
+      const LInstr& ew = *body[i + 1];
+      auto rit = readers_.find(in.dst);
+      if (ew.op != LOp::Elemwise || !ew.tree || any_tree_has_rand(ew) ||
+          rit == readers_.end() || rit->second.size() != 1 ||
+          rit->second.front() != &ew) {
+        continue;
+      }
+      LInstrPtr upd = fold(in, ew);
+      if (!upd) continue;
+      body[i] = std::move(upd);
+      body.erase(body.begin() + static_cast<ptrdiff_t>(i) + 1);
+      ++rep_.eyes_folded;
+    }
+  }
+
+  Readers readers_;
+  OptReport& rep_;
+};
+
 // -- element-wise fusion ------------------------------------------------------
 
 /// Fuses `t = <tree1>; …; w = f(t)` into `w = f(<tree1>)` when the consumer
@@ -406,32 +535,6 @@ class Fuser {
     substitute(e->b, name, repl);
   }
 
-  /// name → instructions (anywhere in the scope) whose read set contains it.
-  std::unordered_map<std::string, std::vector<const LInstr*>> build_readers() {
-    std::unordered_map<std::string, std::vector<const LInstr*>> readers;
-    add_readers(root_, readers);
-    return readers;
-  }
-
-  static void add_readers(
-      const std::vector<LInstrPtr>& body,
-      std::unordered_map<std::string, std::vector<const LInstr*>>& readers) {
-    for (const LInstrPtr& ip : body) {
-      const LInstr& in = *ip;
-      Set r;
-      instr_reads(in, r);
-      if (is_rmw(in.op) && !in.dst.empty()) r.insert(in.dst);
-      for (const LIfArm& arm : in.arms) tree_vars(arm.cond.get(), r);
-      tree_vars(in.cond.get(), r);
-      tree_vars(in.lo.get(), r);
-      tree_vars(in.step.get(), r);
-      tree_vars(in.hi.get(), r);
-      for (const std::string& n : r) readers[n].push_back(&in);
-      for (const LIfArm& arm : in.arms) add_readers(arm.body, readers);
-      add_readers(in.body, readers);
-    }
-  }
-
   void walk(std::vector<LInstrPtr>& body) {
     for (LInstrPtr& ip : body) {
       for (LIfArm& arm : ip->arms) walk(arm.body);
@@ -444,7 +547,7 @@ class Fuser {
     bool changed = true;
     while (changed) {
       changed = false;
-      auto readers = build_readers();
+      auto readers = scope_readers(root_);
       for (size_t i = 0; i < body.size() && !changed; ++i) {
         LInstr& prod = *body[i];
         if (prod.op != LOp::Elemwise || prod.dst.empty() || !prod.tree) {
@@ -567,10 +670,6 @@ class Licm {
         lbin(EwBin::And, lbin(EwBin::Lt, std::move(step2), limm(0.0)),
              lbin(EwBin::Ge, clone_lexpr(*loop.lo), clone_lexpr(*loop.hi)));
     return lbin(EwBin::Or, std::move(up), std::move(down));
-  }
-
-  static bool is_tmp(const std::string& n) {
-    return n.rfind("ML_tmp", 0) == 0;
   }
 
   /// Returns the number of instructions inserted in front of body[li].
@@ -800,6 +899,7 @@ OptReport run_opt(LProgram& prog, const OptOptions& opts) {
   auto optimize_scope = [&](std::vector<LInstrPtr>& body, const Set& protect) {
     CopyProp(rep).run(body);
     CommCse(rep).run(body);
+    EyeFold(rep).run(body);
     Fuser(rep, body, protect).run();
     Licm(rep).run(body);
     // Guard elimination runs before the final copy-prop and DSE so a guard

@@ -6,9 +6,10 @@
 // folds call sequences into single calls, loop-invariant communication is
 // hoisted out of loops (the fix for what lint's W3207 only reports),
 // duplicate communication calls in a block are merged, CopyMat chains are
-// propagated away, chains of element-wise statements whose intermediate
-// is dead afterwards are fused into one local loop, dead statements are
-// deleted, and runs of independent reductions share one vector allreduce.
+// propagated away, `x ± s*eye(r, c)` updates x without building the
+// identity, chains of element-wise statements whose intermediate is dead
+// afterwards are fused into one local loop, dead statements are deleted,
+// and runs of independent reductions share one vector allreduce.
 #pragma once
 
 #include <cstddef>
@@ -57,21 +58,22 @@ struct OptReport {
   size_t swept = 0;              ///< dead pure statements DSE removed
   size_t guards_seen = 0;        ///< ShapeGuard instructions in the input LIR
   size_t coalesced = 0;          ///< allreduces saved by reduction groups
+  size_t eyes_folded = 0;        ///< eye temporaries folded into eye updates
   /// Guards deleted because an absint proof matched; the verifier
   /// cross-checks each entry against the proof list (E6009).
   std::vector<GuardProof> guards_eliminated;
 
   [[nodiscard]] size_t total() const {
     return hoists.size() + fused + cse_removed + copies_propagated + swept +
-           guards_eliminated.size() + coalesced;
+           guards_eliminated.size() + coalesced + eyes_folded;
   }
 };
 
 /// Runs the pass pipeline over `prog` in place when `opts.level` is
 /// positive:
-///   peephole → per scope: copy-prop → comm CSE → elemwise fusion → comm
-///   LICM → guard elimination → copy-prop → DSE over the whole program until
-///   it removes nothing → reduction coalescing.
+///   peephole → per scope: copy-prop → comm CSE → eye folding → elemwise
+///   fusion → comm LICM → guard elimination → copy-prop → DSE over the
+///   whole program until it removes nothing → reduction coalescing.
 /// Output re-verifies: hoists are wrapped in a trip-count guard so zero-trip
 /// loops keep their semantics, and hoisted ML_tmp targets are pre-defined so
 /// the verifier's all-paths rule (E6002) still holds.

@@ -132,7 +132,7 @@ class DMat {
   Layout layout_;
   /// Local payload, charged against the process resource governor — the
   /// accounting hook that lets otterd bound a request's memory (E5006).
-  gov::DoubleBuffer local_;
+  gov::PayloadBuffer local_;
 };
 
 /// Element-wise operator codes shared by the LIR, the bytecode VM and
@@ -262,6 +262,21 @@ DMat ew_binary(mpi::Comm& comm, EwBin op, const DMat& a, const DMat& b);
 DMat ew_binary_scalar(mpi::Comm& comm, EwBin op, const DMat& a, double s,
                       bool scalar_left);
 DMat ew_unary(mpi::Comm& comm, EwUn op, const DMat& a);
+
+/// dst = x op s*eye(rows, cols), or s*eye(rows, cols) op x when eye_first,
+/// for op Add or Sub: the element-wise loop over x and an identity built
+/// in `dist`, in one pass over x and without building the identity. Each
+/// element combines with s*1.0 on the diagonal and s*0.0 off it, in the
+/// written operator and operand order, so every bit equals that loop's:
+/// -0.0 + s*0.0 is +0.0 for positive s, and an infinite or NaN s makes
+/// every element NaN. dst may be x (the update is then in place);
+/// otherwise dst is reused when aligned with x, as ensure_like does.
+/// Throws RtError [E5007] for extents check_extents rejects and [E5001]
+/// with the loop's "unaligned operands" message when x is not a rows x
+/// cols object in `dist`.
+void eye_update(mpi::Comm& comm, DMat& dst, const DMat& x, double s,
+                size_t rows, size_t cols, EwBin op, bool eye_first,
+                Dist dist);
 
 // -- operations requiring communication ----------------------------------------
 

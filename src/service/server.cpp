@@ -66,15 +66,59 @@ std::string first_error_code(const DiagEngine& diags) {
   return "";
 }
 
-/// Reads integer request field `key`; absent, or not a number, reads as
-/// `dflt`. A non-integral value or one outside [lo, hi] reads as nullopt,
-/// checked before any conversion: converting a double past T's range is
-/// undefined behaviour.
+/// Every request field the service reads and the JSON type it must have.
+/// A present field of another type is a malformed request (E0011): reading
+/// it as absent would run `"np":"4"` on one rank or `"run":"false"` anyway.
+struct FieldType {
+  std::string_view key;
+  json::JValue::Kind kind;
+};
+constexpr FieldType kRequestFields[] = {
+    {"op", json::JValue::Kind::String},
+    {"script", json::JValue::Kind::String},
+    {"machine", json::JValue::Kind::String},
+    {"fault_plan", json::JValue::Kind::String},
+    {"test_kill", json::JValue::Kind::String},
+    {"checkpoint_dir", json::JValue::Kind::String},
+    {"np", json::JValue::Kind::Number},
+    {"opt_level", json::JValue::Kind::Number},
+    {"rand_seed", json::JValue::Kind::Number},
+    {"retries", json::JValue::Kind::Number},
+    {"checkpoint", json::JValue::Kind::Number},
+    {"mem_mb", json::JValue::Kind::Number},
+    {"deadline", json::JValue::Kind::Number},
+    {"run", json::JValue::Kind::Bool},
+    {"strict_infer", json::JValue::Kind::Bool},
+    {"resume", json::JValue::Kind::Bool},
+};
+
+/// The first field of `req` whose JSON type is wrong, or null.
+const FieldType* mistyped_field(const json::JValue& req) {
+  for (const FieldType& f : kRequestFields) {
+    const json::JValue* v = req.get(f.key);
+    if (v != nullptr && v->kind() != f.kind) return &f;
+  }
+  return nullptr;
+}
+
+const char* kind_name(json::JValue::Kind k) {
+  switch (k) {
+    case json::JValue::Kind::Bool: return "a boolean";
+    case json::JValue::Kind::Number: return "a number";
+    case json::JValue::Kind::String: return "a string";
+    default: return "a value";
+  }
+}
+
+/// Reads integer request field `key` (its type already checked); absent
+/// reads as `dflt`. A non-integral value or one outside [lo, hi] reads as
+/// nullopt, checked before any conversion: converting a double past T's
+/// range is undefined behaviour.
 template <typename T>
 std::optional<T> integer_field(const json::JValue& req, std::string_view key,
                                T dflt, T lo, T hi) {
   const json::JValue* v = req.get(key);
-  if (v == nullptr || !v->is_number()) return dflt;
+  if (v == nullptr) return dflt;
   const double d = v->as_number();
   // `< hi + 1` rather than `<= hi`: UINT64_MAX rounds up to 2^64 as a
   // double, and 2^64 itself is out of range.
@@ -257,6 +301,12 @@ json::JValue Service::process(const json::JValue& req,
   // service loop. Anything escaping handle_script is a service bug, reported
   // as internal_error rather than death.
   try {
+    if (const FieldType* f = mistyped_field(req)) {
+      return error_response(&req, "bad_request", "E0011",
+                            "malformed service request: \"" +
+                                std::string(f->key) + "\" must be " +
+                                kind_name(f->kind));
+    }
     const std::string op = req.get_string("op", "compile_run");
     if (op == "ping") {
       json::JValue resp{json::JObject{}};

@@ -5,6 +5,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <cstring>
 
 #include "support/sanitizer.hpp"
 
@@ -69,7 +70,9 @@ void ResourceGovernor::reset_window() {
 
 #ifdef OTTER_SANITIZED
 
-void* allocate_large(std::size_t bytes) { return ::operator new(bytes); }
+void* allocate_large(std::size_t bytes) {
+  return std::memset(::operator new(bytes), 0, bytes);
+}
 
 void deallocate_large(void* p, std::size_t bytes) noexcept {
   ::operator delete(p, bytes);

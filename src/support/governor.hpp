@@ -121,7 +121,10 @@ inline constexpr uint64_t kLargePayloadBytes = uint64_t{2} << 20;
 /// Allocates a payload of at least kLargePayloadBytes: a private anonymous
 /// mapping of `bytes` rounded up to whole pages, at a 2 MiB-aligned
 /// address, with its whole 2 MiB extents advised for huge pages. Sanitizer
-/// builds use plain operator new instead, so ASan keeps its redzones.
+/// builds use plain operator new instead, so ASan keeps its redzones. In
+/// every build the memory arrives zero-filled: a fresh mapping is zero by
+/// the kernel, and the operator new path clears it. Payload owners rely on
+/// this instead of writing +0.0 over the whole payload a second time.
 /// Throws std::bad_alloc when the host allocation fails. Out of line, so
 /// the small-payload path stays short and the sanitizer choice is made
 /// once, in this library: generated C inlines Accounted without the
@@ -175,5 +178,27 @@ struct Accounted {
 /// The governed buffer type used for matrix payloads throughout the
 /// run-time library and the interpreter.
 using DoubleBuffer = std::vector<double, Accounted<double>>;
+
+/// Accounted, except that constructing an element without a value (as
+/// resize(n) does) leaves it as the allocation returned it: +0.0 for a
+/// payload of at least kLargePayloadBytes (allocate_large's guarantee),
+/// indeterminate below that, where the owner must write it.
+template <typename T>
+struct AccountedNoInit : Accounted<T> {
+  AccountedNoInit() noexcept = default;
+  template <typename U>
+  /* implicit */ AccountedNoInit(const AccountedNoInit<U>&) noexcept {}  // NOLINT
+
+  /// Default-initialises; std::allocator_traits constructs from values
+  /// itself, as for any allocator without a matching construct.
+  template <typename U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+};
+
+/// The distributed-matrix payload: like DoubleBuffer, but large payloads are
+/// sized without a zero pass (rt::DMat zeroes only the small ones).
+using PayloadBuffer = std::vector<double, AccountedNoInit<double>>;
 
 }  // namespace otter::gov

@@ -6,6 +6,7 @@
 // runs on. Distribution-independence relies on O(log n) skip-ahead.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 namespace otter {
@@ -20,6 +21,36 @@ class Lcg {
   double next() {
     state_ = kMulA * state_ + kAddC;
     return to_unit(state_);
+  }
+
+  /// Writes exactly what n calls of next() would return and leaves the
+  /// generator where those calls would. Eight interleaved streams: stream
+  /// k starts k+1 steps ahead and jumps 8 steps at a time by the affine map
+  /// raised to the 8th power, so eight independent multiply chains run
+  /// instead of one latency-bound chain. The integer arithmetic is exact,
+  /// so every value is bit-identical to the serial draw.
+  void fill(double* out, size_t n) {
+    constexpr size_t kStreams = 8;
+    size_t i = 0;
+    if (n >= kStreams) {
+      uint64_t s[kStreams];
+      uint64_t a = 1;
+      uint64_t c = 0;
+      for (size_t k = 0; k < kStreams; ++k) {
+        a *= kMulA;
+        c = c * kMulA + kAddC;
+        s[k] = a * state_ + c;
+      }
+      // (a, c) is now the map raised to the 8th power.
+      for (;;) {
+        for (size_t k = 0; k < kStreams; ++k) out[i + k] = to_unit(s[k]);
+        i += kStreams;
+        if (i + kStreams > n) break;
+        for (uint64_t& x : s) x = a * x + c;
+      }
+      state_ = s[kStreams - 1];
+    }
+    for (; i < n; ++i) out[i] = next();
   }
 
   /// Skips n steps in O(log n) by exponentiating the affine map x -> ax + c

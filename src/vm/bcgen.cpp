@@ -548,6 +548,25 @@ class ChunkGen {
       case LOp::Elemwise:
         elemwise(in);
         return;
+      case LOp::EyeUpdate: {
+        uint32_t dst = dst_mreg(in);
+        if (dst == kNoReg) return;
+        uint32_t x = operand_mreg(in.args[0]);
+        if (x == kNoReg) return;
+        uint32_t sc = operand_sreg(in.args[1]);
+        if (sc == kNoReg) return;
+        uint32_t r = operand_sreg(in.args[2]);
+        if (r == kNoReg) return;
+        uint32_t c = operand_sreg(in.args[3]);
+        if (c == kNoReg) return;
+        uint32_t aux = static_cast<uint32_t>(mod_.aux.size());
+        mod_.aux.push_back(r);
+        mod_.aux.push_back(c);
+        const uint8_t flag = (in.bop == rt::EwBin::Sub ? 1 : 0) |
+                             (in.eye_first ? 2 : 0);
+        emit(Op::EyeUpd, dst, x, sc, aux, flag);
+        return;
+      }
       case LOp::ScalarAssign: {
         uint32_t dst = dst_sreg(in);
         if (dst == kNoReg) return;
@@ -917,6 +936,7 @@ const char* op_name(Op op) {
     case Op::DispV: return "disp";
     case Op::Fprintf: return "fprintf";
     case Op::ReduceG: return "reduceg";
+    case Op::EyeUpd: return "eyeupd";
   }
   return "?";
 }
@@ -1087,6 +1107,18 @@ void dump_chunk(std::string& out, const BcModule& m, const BcChunk& ch) {
           out += " <- red" + std::to_string(t[0]) + " ";
           mm(t[1]);
         }
+        break;
+      case Op::EyeUpd:
+        mm(in.a);
+        sp();
+        mm(in.b);
+        out += (in.flag & 1) != 0 ? " sub " : " add ";
+        s(in.c);
+        out += " eye ";
+        s(m.aux[in.d]);
+        sp();
+        s(m.aux[in.d + 1]);
+        if ((in.flag & 2) != 0) out += " eye-first";
         break;
     }
     out += '\n';

@@ -87,6 +87,8 @@ enum class Op : uint8_t {
   // Appended last: a case placed mid-table moved the hot loop's code layout
   // and measured slower on nbody's 1-rank run.
   ReduceG,  ///< one grouped allreduce; A[a] = b triples {kind, m reg, s reg}
+  EyeUpd,   ///< m[a] = m[b] ± s[c]*eye(s[A[d]], s[A[d]+1]); flag bit0 = Sub,
+            ///< bit1 = eye term first
 };
 
 /// One fixed-width instruction. `e` is a fifth small operand (inline-cache

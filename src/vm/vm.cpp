@@ -386,6 +386,18 @@ class Vm {
     for (uint32_t i = 0; i < in.b; ++i, t += 3) f.s[t[2]] = red_vals_[i];
   }
 
+  void eye_update(RFrame& f, const BcInstr& in) {
+    const uint32_t* dims = mod_.aux.data() + in.d;
+    size_t r = as_dim(f.s[dims[0]], "row");
+    size_t c = as_dim(f.s[dims[1]], "column");
+    // As EwKern: an update into an aligned buffer keeps its version.
+    const bool fresh = in.a != in.b && !f.m[in.a].aligned_with(f.m[in.b]);
+    rt::eye_update(comm_, f.m[in.a], f.m[in.b], f.s[in.c], r, c,
+                   (in.flag & 1) != 0 ? rt::EwBin::Sub : rt::EwBin::Add,
+                   (in.flag & 2) != 0, opts_.dist);
+    if (fresh) f.ver[in.a] = next_ver();
+  }
+
   // -- the dispatch loop -------------------------------------------------------
 
   void run_chunk(const BcChunk& ch, RFrame& f, uint32_t pc) {
@@ -405,8 +417,9 @@ class Vm {
         &&L_FillZ,   &&L_FillO,   &&L_FillE,     &&L_FillRnd, &&L_FillRange,
         &&L_FillLin, &&L_LoadF,   &&L_FromLit,   &&L_CopyM,   &&L_EwKern,
         &&L_Guard,   &&L_DisplayV,&&L_DispV,     &&L_Fprintf, &&L_ReduceG,
+        &&L_EyeUpd,
     };
-    static_assert(std::size(kTable) == static_cast<size_t>(Op::ReduceG) + 1,
+    static_assert(std::size(kTable) == static_cast<size_t>(Op::EyeUpd) + 1,
                   "one label per opcode, in Op's order");
 #define OVM_CASE(name) L_##name:
 #define OVM_NEXT()                                     \
@@ -762,6 +775,8 @@ class Vm {
     OVM_CASE(Fprintf) { do_fprintf(f, *in); }
     OVM_NEXT();
     OVM_CASE(ReduceG) { do_reduce_group(f, *in); }
+    OVM_NEXT();
+    OVM_CASE(EyeUpd) { eye_update(f, *in); }
     OVM_NEXT();
 
 #if OTTER_VM_CGOTO

@@ -72,10 +72,11 @@ TEST(Emit, EntrySymbolConfigurable) {
 
 class CcE2e : public ::testing::TestWithParam<int> {
  protected:
-  /// Output of `src` built as generated C and run on the parameterised rank
-  /// count.
-  std::string run_generated(const std::string& src) {
-    auto compiled = driver::compile_script(src, {}, {.opt = {.level = 0}});
+  /// Output of `src` built as generated C at opt `level` and run on the
+  /// parameterised rank count.
+  std::string run_generated(const std::string& src, int level = 0) {
+    auto compiled =
+        driver::compile_script(src, {}, {.opt = {.level = level}});
     EXPECT_TRUE(compiled->ok) << compiled->diags.to_string();
     std::string error;
     auto program = CompiledProgram::build(compiled->lir, &error);
@@ -247,7 +248,68 @@ TEST_P(CcE2e, NormOfAMatrixFailsCoded) {
     FAIL() << "norm of a matrix did not fail";
   } catch (const mpi::SpmdFailure& e) {
     EXPECT_EQ(e.first().code, "E5001");
-    EXPECT_EQ(e.first().what, "dot: expected equal-length vectors");
+    EXPECT_EQ(e.first().what,
+              "line 2 (dot): dot: expected equal-length vectors");
+  }
+}
+
+// The -O2 eye update in generated C: every form against the interpreter,
+// and a hidden shape mismatch with the VM's whole message.
+TEST_P(CcE2e, EyeUpdateMatchesTheInterpreter) {
+  if (!CompiledProgram::toolchain_available()) {
+    GTEST_SKIP() << "no host C++ compiler available";
+  }
+  const std::string src = R"(sv = [2, -0.0, Inf, NaN, -NaN];
+k = 3 + floor(rand() * 0);
+for i = 1:5
+  s = sv(i);
+  x = -zeros(k, k + 2);
+  x(1, 1) = 1.5;
+  x(2, 4) = -2.25;
+  v = -zeros(k, k);
+  y1 = x + s * eye(k, k + 2);
+  y2 = x - eye(k, k + 2) * s;
+  y3 = eye(k, k + 2) * s - x;
+  y4 = eye(k, k + 2) + x;
+  v = v + s * eye(k);
+  x = x - s * eye(k, k + 2);
+  fprintf('%.17g ', y1, y2, y3, y4, v, x);
+  fprintf('\n');
+end)";
+  EXPECT_EQ(driver::compile_script(src)->opt_report.eyes_folded, 6u);
+  EXPECT_EQ(run_generated(src, 2), driver::run_interpreter(src).output);
+  try {
+    run_generated(
+        "a = ones(3, 3);\nk = 4 + floor(rand() * 0);\n"
+        "a = a + 2 * eye(3, k);\ndisp(a);\n",
+        2);
+    FAIL() << "3x3 + eye(3, 4) did not fail";
+  } catch (const mpi::SpmdFailure& e) {
+    EXPECT_EQ(e.first().code, "E5001");
+    EXPECT_EQ(e.first().what,
+              "line 3 (elemwise): element-wise op on unaligned operands: "
+              "3x3 vs 3x4");
+  }
+}
+
+// x(1) and x(1, 1) of a scalar-stored x are x; x(2) fails on its line.
+TEST_P(CcE2e, IndexedScalarReadsAndFailsCoded) {
+  if (!CompiledProgram::toolchain_available()) {
+    GTEST_SKIP() << "no host C++ compiler available";
+  }
+  const std::string src =
+      "x = 5;\nk = 1 + floor(rand() * 0);\n"
+      "y = x(1) + x(1, 1) + x(k) + x(end);\ndisp(y);\n";
+  for (int level : {0, 2}) {
+    EXPECT_EQ(run_generated(src, level), driver::run_interpreter(src).output);
+    try {
+      run_generated("x = 5;\ny = x(2);\ndisp(y);\n", level);
+      FAIL() << "x(2) of a scalar did not fail at -O" << level;
+    } catch (const mpi::SpmdFailure& e) {
+      EXPECT_EQ(e.first().code, "E5001");
+      EXPECT_EQ(e.first().what,
+                "line 2 (get-elem): get_element: index out of range");
+    }
   }
 }
 

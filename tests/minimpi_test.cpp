@@ -366,12 +366,13 @@ TEST(MiniMpi, VirtualTimesAreDeterministic) {
   EXPECT_EQ(once(), once());
 }
 
-// A fresh 32 MiB payload is first touched inside the body, so its page
-// faults land in the rank's count whatever page size backs it.
+// A fresh 32 MiB payload is first written inside the body, so its page
+// faults land in the rank's count whatever page size backs it. (The zero
+// matrix itself writes nothing: its mapping arrives zero-filled.)
 TEST(MiniMpi, MinorFaultsAreCountedPerRank) {
   for (int np : {1, 3}) {
     RunResult r = run_spmd(ideal(), np, [](Comm& c) {
-      if (c.rank() == 0) rt::DMat big(c, 2048, 2048);
+      if (c.rank() == 0) rt::fill_ones(c, 2048, 2048);
     });
     ASSERT_EQ(r.minor_faults.size(), static_cast<size_t>(np));
     EXPECT_GT(r.minor_faults[0], 0u);

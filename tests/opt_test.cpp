@@ -560,6 +560,162 @@ TEST(OptVerify, PostOptLirPassesVerifier) {
   }
 }
 
+// -- eye folding ----------------------------------------------------------------
+
+// Every folded form, the destination equal to x and apart from it, s signed
+// zero, infinite and NaN of both signs, -0.0 off the diagonal of x, a
+// non-square eye(r, c) and a one-argument eye(n). The extent is hidden from
+// inference. 11 eye temporaries, each read once by the statement after it.
+const char* kEyeFoldSrc =
+    "sv = [2, -0.0, Inf, NaN, -NaN];\n"
+    "k = 3 + floor(rand() * 0);\n"
+    "for i = 1:5\n"
+    "  s = sv(i);\n"
+    "  x = -zeros(k, k + 2);\n"
+    "  x(1, 1) = 1.5;\n"
+    "  x(2, 4) = -2.25;\n"
+    "  v = -zeros(k, k);\n"
+    "  y1 = x + s * eye(k, k + 2);\n"
+    "  y2 = x + eye(k, k + 2) * s;\n"
+    "  y3 = x - s * eye(k, k + 2);\n"
+    "  y4 = x - eye(k, k + 2) * s;\n"
+    "  y5 = x + eye(k, k + 2);\n"
+    "  y6 = x - eye(k, k + 2);\n"
+    "  y7 = s * eye(k, k + 2) + x;\n"
+    "  y8 = eye(k, k + 2) * s - x;\n"
+    "  y9 = eye(k, k + 2) - x;\n"
+    "  v = v + s * eye(k);\n"
+    "  x = x - s * eye(k, k + 2);\n"
+    "  fprintf('%.17g ', y1, y2, y3, y4, y5, y6, y7, y8, y9, v, x);\n"
+    "  fprintf('\\n');\n"
+    "end\n";
+
+TEST(OptEyeFold, EveryFormMatchesTheInterpreter) {
+  auto c0 = compile_at(kEyeFoldSrc, 0);
+  auto c2 = compile_at(kEyeFoldSrc, 2);
+  const std::string post = dump_lir(c2->lir);
+  EXPECT_EQ(c2->opt_report.eyes_folded, 11u) << post;
+  EXPECT_EQ(count_of(post, "ML_eye("), 0u) << post;
+  EXPECT_EQ(count_of(post, "ML_eye_update("), 11u) << post;
+  EXPECT_EQ(count_of(dump_lir(c0->lir), "ML_eye_update("), 0u);
+  EXPECT_EQ(analysis::verify_lir(c2->lir, c2->diags), 0u)
+      << c2->diags.to_string();
+  const std::string want = driver::run_interpreter(kEyeFoldSrc).output;
+  ASSERT_NE(want.find("-nan"), std::string::npos) << want;
+  auto ideal = mpi::profile_by_name("ideal");
+  for (rt::Dist dist : {rt::Dist::RowBlock, rt::Dist::Cyclic}) {
+    driver::ExecOptions eo;
+    eo.dist = dist;
+    for (int np = 1; np <= 5; ++np) {
+      SCOPED_TRACE("np=" + std::to_string(np) +
+                   (dist == rt::Dist::Cyclic ? " cyclic" : " block"));
+      EXPECT_EQ(driver::run_parallel(c0->lir, ideal, np, eo).output, want);
+      EXPECT_EQ(driver::run_parallel(c2->lir, ideal, np, eo).output, want);
+    }
+  }
+}
+
+// A shape the compiler cannot see fails at run time with -O0's message, in
+// either operand order.
+TEST(OptEyeFold, MismatchFailsWithTheO0Message) {
+  struct Case {
+    const char* src;
+    const char* what;
+  };
+  for (const Case& t : {
+           Case{"a = ones(3, 3);\nk = 4 + floor(rand() * 0);\n"
+                "a = a + 2 * eye(3, k);\ndisp(a);\n",
+                "line 3 (elemwise): element-wise op on unaligned operands: "
+                "3x3 vs 3x4"},
+           Case{"a = ones(3, 3);\nk = 4 + floor(rand() * 0);\n"
+                "b = eye(3, k) - a;\ndisp(b);\n",
+                "line 3 (elemwise): element-wise op on unaligned operands: "
+                "3x4 vs 3x3"},
+       }) {
+    SCOPED_TRACE(t.src);
+    EXPECT_EQ(compile_at(t.src, 2)->opt_report.eyes_folded, 1u);
+    for (rt::Dist dist : {rt::Dist::RowBlock, rt::Dist::Cyclic}) {
+      driver::ExecOptions eo;
+      eo.dist = dist;
+      for (int level : {0, 2}) {
+        for (int np = 1; np <= 5; ++np) {
+          try {
+            driver::run_parallel(compile_at(t.src, level)->lir,
+                                 mpi::profile_by_name("ideal"), np, eo);
+            ADD_FAILURE() << "no failure at -O" << level << " np=" << np;
+          } catch (const mpi::SpmdFailure& e) {
+            EXPECT_EQ(e.first().code, "E5001");
+            EXPECT_EQ(e.first().what, t.what)
+                << "-O" << level << " np=" << np;
+          }
+        }
+      }
+    }
+  }
+}
+
+// Only a temporary read once, by the element-wise statement right after
+// it, folds: a user variable keeps its eye, and so does a temporary with a
+// second reader.
+TEST(OptEyeFold, EyeWithASecondReaderIsNotFolded) {
+  auto c = compile_at(
+      "e = eye(3);\na = ones(3, 3) + e;\nb = a - e;\ndisp(a + b);\n", 2);
+  EXPECT_EQ(c->opt_report.eyes_folded, 0u);
+  EXPECT_EQ(count_of(dump_lir(c->lir), "ML_eye("), 1u) << dump_lir(c->lir);
+
+  LProgram p;
+  p.script_vars = {{"a", true}, {"b", true}, {"ML_tmp1", true}};
+  auto fill = [&](LOp op, const std::string& dst) {
+    auto in = std::make_unique<LInstr>(op);
+    in->dst = dst;
+    for (int i = 0; i < 2; ++i) {
+      LOperand o;
+      o.scalar = limm(3.0);
+      in->args.push_back(std::move(o));
+    }
+    p.script.push_back(std::move(in));
+  };
+  auto update = [&](const std::string& dst, EwBin op) {
+    auto in = std::make_unique<LInstr>(LOp::Elemwise);
+    in->dst = dst;
+    in->tree = lbin(op, lmvar(dst), lmvar("ML_tmp1"));
+    p.script.push_back(std::move(in));
+  };
+  auto disp = [&](const std::string& m) {
+    auto in = std::make_unique<LInstr>(LOp::DispOp);
+    LOperand o;
+    o.is_matrix = true;
+    o.mat = m;
+    in->args.push_back(std::move(o));
+    p.script.push_back(std::move(in));
+  };
+  fill(LOp::FillOnes, "a");
+  fill(LOp::FillOnes, "b");
+  fill(LOp::FillEye, "ML_tmp1");
+  update("a", EwBin::Add);
+  update("b", EwBin::Sub);
+  disp("a");
+  disp("b");
+  OptReport rep = run_opt(p, {});
+  EXPECT_EQ(rep.eyes_folded, 0u);
+  EXPECT_EQ(count_of(dump_lir(p), "ML_eye("), 1u) << dump_lir(p);
+}
+
+// cg's `a = a + n * eye(n, n)` and transclos's `a = a + eye(n, n)` build no
+// identity at -O2.
+TEST(OptEyeFold, PaperScriptsBuildNoIdentity) {
+  for (const char* name : {"cg.m", "transclos.m"}) {
+    std::ifstream in(std::string(OTTER_SCRIPTS_DIR) + "/" + name);
+    ASSERT_TRUE(in) << name;
+    std::string src((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+    auto c = compile_at(src, 2);
+    EXPECT_EQ(c->opt_report.eyes_folded, 1u) << name;
+    EXPECT_EQ(count_of(dump_lir(c->lir), "ML_eye("), 0u)
+        << dump_lir(c->lir);
+  }
+}
+
 // -- lint cross-link ----------------------------------------------------------
 
 TEST(OptLint, HoistedW3207BecomesNote) {

@@ -235,6 +235,81 @@ TEST_P(RtSweep, RandSeqOffsetContinuesSequence) {
   });
 }
 
+// Lcg::fill's eight interleaved streams write exactly the serial draws and
+// leave the generator where the serial calls would.
+TEST(LcgFill, MatchesSerialDrawsAndLeavesTheSameState) {
+  for (uint64_t skip : {0ull, 1ull, 7ull, 12345ull}) {
+    for (size_t n : {0u, 1u, 7u, 8u, 9u, 63u, 64u, 65u, 1000u}) {
+      SCOPED_TRACE("skip " + std::to_string(skip) + " n " +
+                   std::to_string(n));
+      Lcg serial(99);
+      Lcg bulk(99);
+      serial.discard(skip);
+      bulk.discard(skip);
+      std::vector<double> want(n);
+      for (double& x : want) x = serial.next();
+      std::vector<double> got(n, -1.0);
+      bulk.fill(got.data(), n);
+      expect_same_bits(got, want, "fill");
+      EXPECT_EQ(bulk.next(), serial.next()) << "state after the fill";
+    }
+  }
+}
+
+// rand above the 2 MiB payload threshold, where the bulk fill writes whole
+// blocks and rows: every rank count and layout gives the serial sequence.
+TEST(RtLarge, FillRandAboveThresholdMatchesSerial) {
+  for (auto [rows, cols] : {std::pair<size_t, size_t>{600, 600},
+                            std::pair<size_t, size_t>{300000, 1}}) {
+    std::vector<double> want(rows * cols);
+    Lcg g(5);
+    g.discard(17);
+    for (double& x : want) x = g.next();
+    for (Dist d : {Dist::RowBlock, Dist::Cyclic}) {
+      for (int np = 1; np <= 5; ++np) {
+        run_spmd(ideal(32), np, [&](Comm& c) {
+          expect_same_bits(to_full(c, fill_rand(c, rows, cols, 5, 17, d)),
+                           want,
+                           std::to_string(rows) + "x" + std::to_string(cols) +
+                               " np " + std::to_string(np) +
+                               (d == Dist::Cyclic ? " cyclic" : " block"));
+        });
+      }
+    }
+  }
+}
+
+// Destinations past the payload threshold take the streaming transpose
+// where their rows are 16-byte aligned. The shapes are no multiples of the
+// 8-row strip; 1001 rows make every destination row odd-length (the tiled
+// fallback), and 1002 x 1100 at np 4 unpacks rank 1's block at the odd
+// column 251 (the fallback again) beside aligned blocks that stream.
+TEST(RtLarge, TransposeAboveThresholdMatchesReference) {
+  for (auto [rows, cols] : {std::pair<size_t, size_t>{1002, 1100},
+                            std::pair<size_t, size_t>{1001, 1100},
+                            std::pair<size_t, size_t>{518, 1031}}) {
+    auto da = rand_data(rows * cols, rows + cols);
+    da[0] = -0.0;
+    da[rows * cols / 2 + 3] = -kInf;
+    da[rows * cols - 1] = machine_nan();
+    std::vector<double> ref(rows * cols);
+    for (size_t i = 0; i < rows; ++i) {
+      for (size_t j = 0; j < cols; ++j) ref[j * rows + i] = da[i * cols + j];
+    }
+    for (Dist d : {Dist::RowBlock, Dist::Cyclic}) {
+      for (int np : {1, 3, 4}) {
+        run_spmd(ideal(32), np, [&](Comm& c) {
+          DMat a = from_full(c, rows, cols, da, d);
+          expect_same_bits(to_full(c, transpose(c, a)), ref,
+                           std::to_string(rows) + "x" + std::to_string(cols) +
+                               "' np " + std::to_string(np) +
+                               (d == Dist::Cyclic ? " cyclic" : " block"));
+        });
+      }
+    }
+  }
+}
+
 TEST_P(RtSweep, GetSetElement) {
   spmd([&](Comm& c) {
     DMat m = fill_zeros(c, 6, 6, D());
@@ -294,6 +369,73 @@ TEST_P(RtSweep, UnalignedElementwiseThrows) {
     DMat a = fill_zeros(c, 4, 4, D());
     DMat b = fill_zeros(c, 4, 5, D());
     EXPECT_THROW(ew_binary(c, EwBin::Add, a, b), RtError);
+  });
+}
+
+// eye_update equals the element-wise loop over a built identity bit for
+// bit: -0.0 off the diagonal of x, each operator and operand order, and s
+// signed zero, infinite or NaN of either sign (a negated s*e would flip a
+// NaN's sign). Where both operands are NaN they share their bits, because
+// C++ leaves open which one a sum returns.
+TEST_P(RtSweep, EyeUpdateMatchesTheElementwiseLoop) {
+  for (auto [rows, cols] :
+       {std::pair<size_t, size_t>{5, 5}, {3, 7}, {7, 3}, {1, 6}, {6, 1},
+        {1, 1}, {0, 3}}) {
+    for (double s : {2.0, -0.0, kInf, machine_nan(), -machine_nan()}) {
+      std::vector<double> dx(rows * cols, -0.0);
+      for (size_t i = 0; i < dx.size(); i += 4) dx[i] = 0.5 * double(i) - 3;
+      if (!dx.empty()) dx.back() = std::isnan(s) ? s : machine_nan();
+      for (EwBin op : {EwBin::Add, EwBin::Sub}) {
+        for (bool eye_first : {false, true}) {
+          std::string what = std::to_string(rows) + "x" +
+                             std::to_string(cols) + " s " + std::to_string(s) +
+                             (op == EwBin::Sub ? " sub" : " add") +
+                             (eye_first ? " eye first" : "");
+          spmd([&](Comm& c) {
+            DMat x = from_full(c, rows, cols, dx, D());
+            DMat se = ew_binary_scalar(c, EwBin::Mul,
+                                       fill_eye(c, rows, cols, D()), s, true);
+            auto want = to_full(c, eye_first ? ew_binary(c, op, se, x)
+                                             : ew_binary(c, op, x, se));
+            DMat fresh;
+            eye_update(c, fresh, x, s, rows, cols, op, eye_first, D());
+            expect_same_bits(to_full(c, fresh), want, what + " fresh dst");
+            DMat reused = fill_ones(c, rows, cols, D());
+            const double* buf = reused.local().data();
+            eye_update(c, reused, x, s, rows, cols, op, eye_first, D());
+            EXPECT_EQ(reused.local().data(), buf) << what;
+            expect_same_bits(to_full(c, reused), want, what + " aligned dst");
+            eye_update(c, x, x, s, rows, cols, op, eye_first, D());
+            expect_same_bits(to_full(c, x), want, what + " in place");
+          });
+        }
+      }
+    }
+  }
+}
+
+TEST_P(RtSweep, EyeUpdateMismatchFailsLikeTheElementwiseLoop) {
+  spmd([&](Comm& c) {
+    DMat x = fill_ones(c, 3, 3, D());
+    DMat dst;
+    for (bool eye_first : {false, true}) {
+      try {
+        eye_update(c, dst, x, 2.0, 3, 4, EwBin::Add, eye_first, D());
+        ADD_FAILURE() << "3x3 + eye(3, 4) did not fail";
+      } catch (const RtError& e) {
+        EXPECT_EQ(e.code, "E5001");
+        EXPECT_STREQ(e.what(),
+                     eye_first
+                         ? "element-wise op on unaligned operands: 3x4 vs 3x3"
+                         : "element-wise op on unaligned operands: 3x3 vs 3x4");
+      }
+    }
+    if (P() > 1) {
+      // Same shape, the other distribution: unaligned, as the loop says.
+      Dist other = D() == Dist::RowBlock ? Dist::Cyclic : Dist::RowBlock;
+      EXPECT_THROW(eye_update(c, dst, x, 2.0, 3, 3, EwBin::Add, false, other),
+                   RtError);
+    }
   });
 }
 

@@ -13,6 +13,7 @@
 #include <sys/resource.h>
 
 #include <cmath>
+#include <cstring>
 #include <fstream>
 #include <string>
 
@@ -307,6 +308,45 @@ TEST(Governor, LargePayloadsStartAtPositiveZeroAfterADirtyOneIsFreed) {
     }
     EXPECT_EQ(g.stats().used, baseline);
   }
+}
+
+// allocate_large guarantees zero-filled memory in every build: the mmap
+// path gets it from the kernel, the sanitizer build's operator new path
+// clears it (ASan fills fresh heap memory with a nonzero byte).
+TEST(Governor, AllocateLargeReturnsZeroedMemoryAfterADirtyFree) {
+  for (size_t bytes : {size_t{2} << 20, (size_t{3} << 20) + 24}) {
+    SCOPED_TRACE(bytes);
+    void* dirty = otter::gov::allocate_large(bytes);
+    std::memset(dirty, 0xA5, bytes);
+    otter::gov::deallocate_large(dirty, bytes);
+    auto* fresh = static_cast<unsigned char*>(otter::gov::allocate_large(bytes));
+    size_t nonzero = 0;
+    for (size_t i = 0; i < bytes; ++i) nonzero += fresh[i] != 0;
+    EXPECT_EQ(nonzero, 0u);
+    otter::gov::deallocate_large(fresh, bytes);
+  }
+}
+
+// DMat writes +0.0 itself only below the large-payload threshold and takes
+// allocate_large's zeroes above it: either way a matrix built right after a
+// dirty one of the same size is freed reads +0.0 everywhere.
+TEST(Governor, FreshDMatReadsPositiveZeroAfterADirtyOneIsFreed) {
+  otter::mpi::run_spmd(otter::mpi::ideal(1), 1, [](otter::mpi::Comm& c) {
+    // 1024 x 300 is 2.3 MiB; 20 x 30 stays on the small-payload path.
+    for (auto [rows, cols] : {std::pair<size_t, size_t>{1024, 300},
+                              std::pair<size_t, size_t>{20, 30}}) {
+      SCOPED_TRACE(std::to_string(rows) + "x" + std::to_string(cols));
+      {
+        otter::rt::DMat dirty(c, rows, cols);
+        for (double& v : dirty.local()) v = -0.0;
+        dirty.local()[0] = std::nan("");
+      }
+      otter::rt::DMat fresh(c, rows, cols);
+      size_t bad = 0;
+      for (double v : fresh.local()) bad += v != 0.0 || std::signbit(v);
+      EXPECT_EQ(bad, 0u);
+    }
+  });
 }
 
 TEST(Governor, BudgetBelowALargePayloadThrowsAndChargesNothing) {

@@ -537,6 +537,28 @@ TEST(ServiceProtocol, IntegerFieldsRejectFractionsAndHugeValues) {
   EXPECT_EQ(ok.get_string("output", ""), "2\n");
 }
 
+// A present field of the wrong JSON type is a malformed request, never its
+// default: "np":"4" used to run on one rank and "run":"false" to run.
+TEST(ServiceProtocol, WronglyTypedFieldsAreMalformed) {
+  Service svc(ServiceConfig{});
+  for (const char* line : {
+           R"j({"script":"disp(nprocs)","np":"4"})j",
+           R"j({"script":"disp(1)","opt_level":"1"})j",
+           R"j({"script":"disp(1)","rand_seed":"7"})j",
+           R"j({"script":"disp(1)","run":"false"})j",
+           R"j({"script":"disp(1)","strict_infer":1})j",
+           R"j({"script":"disp(1)","resume":"yes"})j",
+           R"j({"script":"disp(1)","machine":5})j",
+           R"j({"script":"disp(1)","mem_mb":"64"})j",
+           R"j({"script":7})j",
+           R"j({"op":["ping"]})j",
+       }) {
+    json::JValue resp = parse_ok(svc.process_line(line));
+    EXPECT_EQ(resp.get_string("status", ""), "bad_request") << line;
+    EXPECT_EQ(resp.get_string("code", ""), "E0011") << line;
+  }
+}
+
 TEST(ServiceProtocol, CheckpointedRunWritesAndResumesOverTheProtocol) {
   ServiceTempDir root;
   ServiceConfig cfg;

@@ -195,6 +195,37 @@ TEST(VmIdentity, ErrorsMatchTheTreeExecutor) {
   }
 }
 
+// A scalar-stored variable indexes like the interpreter's scalar: x(1) and
+// x(1, 1) are x, and x(2) is a coded run-time error on its line (never a
+// verifier failure, E6004).
+TEST(VmIdentity, IndexedScalarMatchesTheInterpreter) {
+  const std::string src =
+      "x = 5;\nk = 1 + floor(rand() * 0);\n"
+      "y = x(1) + x(1, 1) + x(k) + x(end) + x(1, end);\ndisp(y);\n"
+      "m = [1, 2] * [3; 4];\ns = m(1);\ndisp(s);\n";
+  for (int level : {0, 2}) {
+    auto c = compile(src, level);
+    ASSERT_TRUE(c->ok) << c->diags.to_string();
+    for (int np : {1, 3}) {
+      EXPECT_EQ(run_vm(c->lir, np).output, driver::run_interpreter(src).output)
+          << "-O" << level << " np=" << np;
+    }
+    for (const char* bad : {"x = 5;\ny = x(2);\ndisp(y);\n",
+                            "x = 5;\ny = x(1, 2);\ndisp(y);\n"}) {
+      auto b = compile(bad, level);
+      ASSERT_TRUE(b->ok) << b->diags.to_string();
+      try {
+        run_vm(b->lir, 2);
+        FAIL() << bad << " did not fail at -O" << level;
+      } catch (const mpi::SpmdFailure& e) {
+        EXPECT_EQ(e.first().code, "E5001");
+        EXPECT_EQ(e.first().what,
+                  "line 2 (get-elem): get_element: index out of range");
+      }
+    }
+  }
+}
+
 // norm(v) lowers to sqrt(dot(v, v)), so norm of a matrix fails in rt::dot,
 // on the norm line and with E5001, at either opt level.
 TEST(VmIdentity, NormOfAMatrixFailsCoded) {
